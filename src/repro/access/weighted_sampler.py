@@ -246,6 +246,11 @@ class WeightedSampler:
         """The weight limit K."""
         return self._instance.capacity
 
+    @property
+    def table(self) -> AliasTable:
+        """The alias table drawn from (read-only, safe to share)."""
+        return self._table
+
     def sample(self, rng: np.random.Generator) -> Sample:
         """Draw one profit-proportional sample."""
         self._charge(1)

@@ -272,6 +272,7 @@ class SharedInstanceStore:
         *,
         backend: str = "auto",
         spill_dir: str | None = None,
+        table=None,
     ) -> "SharedInstanceStore":
         """Lay ``instance`` (plus derived columns) into a fresh segment.
 
@@ -280,12 +281,23 @@ class SharedInstanceStore:
         segment creation fails; ``"shm"``/``"mmap"`` force one side.
         Derived columns — efficiencies and the sampler's alias table —
         are built once here so every attacher skips their O(n) cost.
+        ``table`` is an optional prebuilt
+        :class:`~repro.access.weighted_sampler.AliasTable` over
+        ``instance.profits`` (e.g. the one a service already samples
+        from); it is copied in instead of being built a second time.
         """
         if backend not in ("auto", "shm", "mmap"):
             raise SharedMemoryError(f"unknown shm backend {backend!r}")
         from ..access.weighted_sampler import AliasTable  # lazy: avoids an import cycle
 
         n = instance.n
+        if table is None:
+            table = AliasTable(instance.profits)
+        elif table.prob.size != n:
+            raise SharedMemoryError(
+                f"prebuilt alias table has {table.prob.size} rows for an "
+                f"instance of size {n}"
+            )
         offsets: list[tuple[str, str, int]] = []
         cursor = _HEADER_BYTES
         for col_name, dtype in _COLUMNS:
@@ -314,7 +326,6 @@ class SharedInstanceStore:
         store._views["profits"][:] = instance.profits
         store._views["weights"][:] = instance.weights
         store._views["efficiencies"][:] = instance.efficiencies()
-        table = AliasTable(instance.profits)
         store._views["alias_prob"][:] = table.prob
         store._views["alias_idx"][:] = table.alias
         header = json.dumps(

@@ -47,7 +47,7 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     wait,
 )
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -101,12 +101,30 @@ def derive_worker_nonce(seed: SeedChain, base_nonce: int, worker: int) -> int:
     return int.from_bytes(node.digest()[:8], "big")
 
 
-def _wrap_access(sampler, oracle, plan, policy, labels: tuple, audit=None):
-    """Stack the fault injectors and retry decorators over raw access.
+@dataclass(frozen=True)
+class _StackSpec:
+    """Everything but the instance that shapes one access stack (picklable:
+    process shards build theirs from the same spec as the parent)."""
 
-    ``audit`` (a :class:`~repro.faults.ProbeAuditor`) rides inside the
-    retry wrappers so an implausible delivery retries like a lost one.
-    """
+    epsilon: float
+    seed: SeedChain
+    params: LCAParameters | None
+    tie_breaking: bool
+    large_item_mode: str
+    plan: FaultPlan | None
+    policy: RetryPolicy | None
+    audit_bounds: tuple[float, float] | None
+    breaker_cfg: BreakerConfig | None
+
+
+def _access_stack(instance, sampler, spec: _StackSpec, labels: tuple, audit=None):
+    """Wrap one raw sampler and a fresh oracle into ``(sampler, oracle,
+    breaker, lca)``: fault injectors keyed by ``labels``, retries carrying
+    ``audit``, then one breaker OUTSIDE the retries (a streak of
+    retries-exhausted failures is what should trip it).  Everything built
+    here is O(1) in n; the sampler's alias table is shared read-only."""
+    oracle = QueryOracle(instance)
+    plan, policy = spec.plan, spec.policy
     timeout = policy.probe_timeout_s if policy is not None else None
     if plan is not None:
         sampler = FaultySampler(
@@ -118,7 +136,24 @@ def _wrap_access(sampler, oracle, plan, policy, labels: tuple, audit=None):
     if policy is not None:
         sampler = RetryingSampler(sampler, policy, audit=audit)
         oracle = RetryingOracle(oracle, policy, audit=audit)
-    return sampler, oracle
+    sampler, oracle, breaker = guard_access(sampler, oracle, spec.breaker_cfg, labels)
+    lca = LCAKP(
+        sampler,
+        oracle,
+        spec.epsilon,
+        spec.seed,
+        params=spec.params,
+        tie_breaking=spec.tie_breaking,
+        large_item_mode=spec.large_item_mode,
+    )
+    return sampler, oracle, breaker, lca
+
+
+def _layer(access, kind):
+    """The ``kind`` layer of a wrapped access object (``None`` if absent)."""
+    while access is not None and not isinstance(access, kind):
+        access = getattr(access, "inner", None)
+    return access
 
 
 def _serve_chunk(payload) -> tuple:
@@ -144,7 +179,10 @@ def _serve_chunk(payload) -> tuple:
     ``BrokenProcessPool`` — real worker death, not an exception), which
     is how the requeue/hedge path is exercised end to end.
 
-    Slot 0 of the payload is either the pickled instance (legacy path:
+    The payload is ``(instance, spec, nonce, indices, attempt, strict,
+    trace_ctx)``; ``spec`` is the service's :class:`_StackSpec`, so the
+    child's stack is built by the same :func:`_access_stack` as the
+    parent's.  Slot 0 is either the pickled instance (legacy path:
     O(n) per shard) or a :class:`SharedInstanceHandle` (shared-memory
     path: the worker attaches zero-copy views and re-wraps the
     segment's prebuilt alias table — O(1) per shard in n).  The attach
@@ -155,10 +193,8 @@ def _serve_chunk(payload) -> tuple:
     parent-facing setup/memory measurements travel in dedicated
     ``obs_state`` keys instead.
     """
-    (
-        instance, epsilon, seed, params, tie_breaking, mode, nonce, indices,
-        plan, policy, attempt, strict, trace_ctx, audit_bounds, breaker_cfg,
-    ) = payload
+    instance, spec, nonce, indices, attempt, strict, trace_ctx = payload
+    plan = spec.plan
     if plan is not None and plan.shard_kill(nonce, attempt):
         os._exit(17)
     if plan is not None:
@@ -176,27 +212,16 @@ def _serve_chunk(payload) -> tuple:
     if trace_ctx is not None:
         _obs.TRACER.enable()
         _obs.TRACER.adopt(*trace_ctx)
-    audit = ProbeAuditor(*audit_bounds) if audit_bounds is not None else None
+    audit = ProbeAuditor(*spec.audit_bounds) if spec.audit_bounds else None
     if shared_store is not None:
         sampler = shared_store.sampler()
     else:
         sampler = WeightedSampler(instance)
-    oracle = QueryOracle(instance)
     setup_s = time.perf_counter() - setup_start
-    sampler, oracle = _wrap_access(
-        sampler, oracle, plan, policy, ("shard", nonce, attempt), audit=audit
-    )
-    sampler, oracle, _breaker = guard_access(
-        sampler, oracle, breaker_cfg, ("shard", nonce, attempt)
-    )
-    lca = LCAKP(
-        sampler,
-        oracle,
-        epsilon,
-        seed,
-        params=params,
-        tie_breaking=tie_breaking,
-        large_item_mode=mode,
+    # Config only, never breaker *state*: each shard attempt builds its
+    # own breaker, because a circuit is a per-process health verdict.
+    sampler, oracle, _breaker, lca = _access_stack(
+        instance, sampler, spec, ("shard", nonce, attempt), audit=audit
     )
     degraded = 0
     with _obs.span("serve.shard"):
@@ -450,7 +475,8 @@ class KnapsackService:
         pickled instance and attach zero-copy views of one shared
         segment (columns plus a prebuilt alias table), making per-shard
         setup independent of n.  ``True`` creates the segment lazily on
-        the first process batch; pass an existing
+        the first process batch, copying in the service's own alias
+        table rather than building a second one; pass an existing
         :class:`~repro.knapsack.shm.SharedInstanceStore` to share one
         segment between services (the caller keeps unlink ownership).
         Answers, probe bills and per-phase obs totals are bit-identical
@@ -533,24 +559,12 @@ class KnapsackService:
             self._owns_store = True
         self._worker_setup_s: list[float] = []
         self._worker_memory: list[dict] = []
-        self._epsilon = float(epsilon)
-        self._seed = seed if isinstance(seed, SeedChain) else SeedChain(seed)
-        self._tie_breaking = bool(tie_breaking)
-        self._large_item_mode = large_item_mode
         self._executor_kind = executor
         self._max_workers = max_workers or min(8, os.cpu_count() or 1)
-        self._fault_plan = fault_plan
-        self._retry_policy = retry_policy
         self._strict = bool(strict)
         self._max_shard_retries = int(max_shard_retries)
         self._hedge = bool(hedge)
         self._merge_losers = bool(merge_losers)
-        if breaker is True:
-            self._breaker_cfg: BreakerConfig | None = BreakerConfig()
-        elif breaker is False:
-            self._breaker_cfg = None
-        else:
-            self._breaker_cfg = breaker
         self._shard_deadline_s = (
             None if shard_deadline_s is None else float(shard_deadline_s)
         )
@@ -561,46 +575,36 @@ class KnapsackService:
         self._abandoned_blocks = 0
         self._abandoned_shards = 0
         self._max_staleness = None if max_staleness is None else int(max_staleness)
+        audit_bounds: tuple[float, float] | None = None
         if probe_audit:
             dom = params.domain if params is not None else None
-            self._audit_bounds: tuple[float, float] | None = (
+            audit_bounds = (
                 (float(dom.lo), float(dom.hi)) if dom is not None else (1e-12, 1e12)
             )
-            self._audit: ProbeAuditor | None = ProbeAuditor(*self._audit_bounds)
-        else:
-            self._audit_bounds = None
-            self._audit = None
-        sampler = WeightedSampler(instance)
-        oracle = QueryOracle(instance)
-        self._faulty_sampler: FaultySampler | None = None
-        self._faulty_oracle: FaultyOracle | None = None
-        sampler, oracle = _wrap_access(
-            sampler, oracle, fault_plan, retry_policy, ("serve",), audit=self._audit
-        )
-        if fault_plan is not None:
-            self._faulty_sampler = (
-                sampler.inner if retry_policy is not None else sampler
-            )
-            self._faulty_oracle = (
-                oracle.inner if retry_policy is not None else oracle
-            )
-        # The breaker sits OUTSIDE the retry wrapper: retries happen inside
-        # one admitted probe, and a streak of retries-exhausted failures is
-        # exactly the signal that should trip the circuit.
-        sampler, oracle, self._breaker = guard_access(
-            sampler, oracle, self._breaker_cfg, ("serve",)
-        )
-        self._sampler = sampler
-        self._oracle = oracle
-        self._lca = LCAKP(
-            self._sampler,
-            self._oracle,
-            self._epsilon,
-            self._seed,
+        self._audit = ProbeAuditor(*audit_bounds) if audit_bounds else None
+        # The one O(n) access build of the service: every stack below —
+        # its own, each thread shard's, and the shared-memory segment —
+        # draws from this alias table, read-only.
+        raw_sampler = WeightedSampler(instance)
+        self._table = raw_sampler.table
+        spec = _StackSpec(
+            epsilon=float(epsilon),
+            seed=seed if isinstance(seed, SeedChain) else SeedChain(seed),
             params=params,
-            tie_breaking=tie_breaking,
+            tie_breaking=bool(tie_breaking),
             large_item_mode=large_item_mode,
+            plan=fault_plan,
+            policy=retry_policy,
+            audit_bounds=audit_bounds,
+            breaker_cfg=BreakerConfig() if breaker is True else (breaker or None),
         )
+        self._sampler, self._oracle, self._breaker, self._lca = _access_stack(
+            instance, raw_sampler, spec, ("serve",), audit=self._audit
+        )
+        # Shards reuse the resolved parameters instead of re-calibrating.
+        self._spec = replace(spec, params=self._lca.params)
+        self._faulty_sampler = _layer(self._sampler, FaultySampler)
+        self._faulty_oracle = _layer(self._oracle, FaultyOracle)
         if cache is False:
             self._cache: PipelineCache | None = None
         elif cache is None or cache is True:
@@ -624,12 +628,12 @@ class KnapsackService:
     @property
     def epsilon(self) -> float:
         """The accuracy parameter."""
-        return self._epsilon
+        return self._spec.epsilon
 
     @property
     def seed(self) -> SeedChain:
         """The shared random string r."""
-        return self._seed
+        return self._spec.seed
 
     @property
     def instance(self):
@@ -654,12 +658,12 @@ class KnapsackService:
     @property
     def fault_plan(self) -> FaultPlan | None:
         """The fault plan in force (``None`` when injection is off)."""
-        return self._fault_plan
+        return self._spec.plan
 
     @property
     def retry_policy(self) -> RetryPolicy | None:
         """The retry policy in force (``None`` when retries are off)."""
-        return self._retry_policy
+        return self._spec.policy
 
     @property
     def strict(self) -> bool:
@@ -766,11 +770,11 @@ class KnapsackService:
         """The full cache key this service derives for ``nonce``."""
         return CacheKey.derive(
             fingerprint=self._fingerprint,
-            seed=self._seed,
+            seed=self._spec.seed,
             nonce=nonce,
             params=self._lca.params,
-            tie_breaking=self._tie_breaking,
-            large_item_mode=self._large_item_mode,
+            tie_breaking=self._spec.tie_breaking,
+            large_item_mode=self._spec.large_item_mode,
         )
 
     def pipeline_for(
@@ -780,8 +784,9 @@ class KnapsackService:
 
         ``nonce=None`` draws OS entropy (a guaranteed miss, cached for
         any later caller that learns the nonce from the result).  The
-        optional ``lca`` runs a miss on a specific copy (the thread
-        shards use their own copies for accounting isolation).
+        optional ``lca`` runs a miss on another stack: each thread shard
+        passes its own, built over the service's shared alias table, so
+        the shard's probe bill and fault coins stay separate.
         """
         resolved = int(nonce) if nonce is not None else fresh_nonce()
         key = self.cache_key(resolved)
@@ -1041,7 +1046,7 @@ class KnapsackService:
     ) -> BatchReport:
         base = int(nonce) if nonce is not None else fresh_nonce()
         shards = [idx[k::w] for k in range(w)]
-        nonces = [derive_worker_nonce(self._seed, base, k) for k in range(w)]
+        nonces = [derive_worker_nonce(self._spec.seed, base, k) for k in range(w)]
         if self._executor_kind == "process":
             agg = self._run_process(shards, nonces, w, strict)
         else:
@@ -1083,23 +1088,10 @@ class KnapsackService:
         def serve_shard(shard, shard_nonce, slot):
             if parent_trace is not None:
                 _obs.TRACER.adopt(parent_trace, f"{parent_span}.s{slot}")
-            sampler = WeightedSampler(self._instance)
-            oracle = QueryOracle(self._instance)
-            sampler, oracle = _wrap_access(
-                sampler, oracle, self._fault_plan, self._retry_policy,
-                ("shard", shard_nonce, 0), audit=self._audit,
-            )
-            sampler, oracle, _breaker = guard_access(
-                sampler, oracle, self._breaker_cfg, ("shard", shard_nonce, 0)
-            )
-            lca = LCAKP(
-                sampler,
-                oracle,
-                self._epsilon,
-                self._seed,
-                params=self._lca.params,
-                tie_breaking=self._tie_breaking,
-                large_item_mode=self._large_item_mode,
+            # Fresh accounting and fault coins per shard, shared table.
+            sampler, oracle, _breaker, lca = _access_stack(
+                self._instance, WeightedSampler(self._instance, table=self._table),
+                self._spec, ("shard", shard_nonce, 0), audit=self._audit,
             )
             degraded = 0
             hit = False
@@ -1150,7 +1142,7 @@ class KnapsackService:
     def _ensure_store(self) -> SharedInstanceStore:
         """Lazily lay the instance into shared memory (first process batch)."""
         if self._store is None or self._store.closed:
-            self._store = SharedInstanceStore.create(self._instance)
+            self._store = SharedInstanceStore.create(self._instance, table=self._table)
             self._owns_store = True
         return self._store
 
@@ -1165,24 +1157,8 @@ class KnapsackService:
             self._ensure_store().handle if self._shared else self._instance
         )
         return (
-            payload_instance,
-            self._epsilon,
-            self._seed,
-            self._lca.params,
-            self._tie_breaking,
-            self._large_item_mode,
-            shard_nonce,
-            shard,
-            self._fault_plan,
-            self._retry_policy,
-            attempt,
-            strict,
+            payload_instance, self._spec, shard_nonce, shard, attempt, strict,
             trace_ctx,
-            self._audit_bounds,
-            # Config only, never breaker *state*: each shard attempt
-            # builds its own breaker in the child, because a circuit is
-            # a per-process health verdict, not shared global state.
-            self._breaker_cfg,
         )
 
     def _merge_worker_obs(self, obs: dict | None, *, abandoned: bool = False) -> None:
@@ -1467,8 +1443,9 @@ class KnapsackService:
         """Release the shared-memory segment, if this service owns one.
 
         Idempotent; a no-op for non-shared services and for services
-        given a caller-owned :class:`SharedInstanceStore`.  After close,
-        the next process batch lazily creates a fresh segment.
+        given a caller-owned :class:`SharedInstanceStore`.  The service
+        stays usable: its in-process alias table is untouched, and the
+        next process batch lazily creates a fresh segment from it.
         """
         if self._store is not None and self._owns_store:
             self._store.close()

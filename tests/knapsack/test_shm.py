@@ -61,6 +61,27 @@ def test_round_trip_both_backends(inst, backend, tmp_path):
     assert orphaned_system_segments() == []
 
 
+def test_prebuilt_table_is_copied_not_rebuilt(inst, monkeypatch):
+    table = WeightedSampler(inst).table
+    builds = []
+    monkeypatch.setattr(
+        type(table), "_build", staticmethod(lambda scaled: builds.append(scaled))
+    )
+    with SharedInstanceStore.create(inst, table=table) as store:
+        assert builds == []
+        assert store.column("alias_prob").tobytes() == table.prob.tobytes()
+        assert store.column("alias_idx").tobytes() == table.alias.tobytes()
+    assert orphaned_system_segments() == []
+
+
+def test_prebuilt_table_row_count_checked(inst):
+    other = generators.generate("planted_lsg", 1_000, seed=4)
+    created = _counter("shm.segments_created")
+    with pytest.raises(SharedMemoryError, match="1000 rows"):
+        SharedInstanceStore.create(inst, table=WeightedSampler(other).table)
+    assert _counter("shm.segments_created") == created
+
+
 def test_handle_is_small_and_picklable(inst):
     with SharedInstanceStore.create(inst) as store:
         blob = pickle.dumps(store.handle)
