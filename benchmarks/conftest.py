@@ -30,17 +30,24 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 SUMMARY_PATH = pathlib.Path(__file__).parent.parent / "BENCH_observability.json"
 
 #: Telemetry captured by the most recent :func:`run_once` call.
-_LAST_RUN: dict = {"wall_clock_s": 0.0, "total_queries": 0, "total_samples": 0}
+_LAST_RUN: dict = {
+    "wall_clock_s": 0.0,
+    "total_queries": 0,
+    "total_samples": 0,
+    "sample_batch_histogram": {"count": 0, "sum": 0.0},
+}
 
 
 def run_once(benchmark, fn, *args, **kwargs):
     """Run ``fn`` exactly once under the benchmark fixture.
 
     Also records the run's wall-clock and the oracle-query / weighted-
-    sample deltas from the global metrics registry, so a following
-    :func:`emit_json` can attach honest resource telemetry to the
-    experiment's output.
+    sample / batch-size-histogram deltas from the global metrics
+    registry, so a following :func:`emit_json` can attach honest
+    resource telemetry to the experiment's output.
     """
+    batches = REGISTRY.histogram("sampler.batch_size")
+    batches_before = batches.state()
     queries_before = REGISTRY.counter("oracle.queries").value
     samples_before = REGISTRY.counter("sampler.samples").value
     start = time.perf_counter()
@@ -49,6 +56,7 @@ def run_once(benchmark, fn, *args, **kwargs):
         wall_clock_s=time.perf_counter() - start,
         total_queries=REGISTRY.counter("oracle.queries").value - queries_before,
         total_samples=REGISTRY.counter("sampler.samples").value - samples_before,
+        sample_batch_histogram=batches.since(batches_before).snapshot(),
     )
     return result
 
@@ -67,12 +75,13 @@ def emit_json(name: str, rows, title: str, extra_entry: dict | None = None) -> s
 
     Writes ``results/<name>.json`` (``bench-result/v1``) and merges this
     experiment's entry into the top-level ``BENCH_observability.json``
-    (``bench-observability/v1``).  Resource numbers come from the last
-    :func:`run_once` call; the batch-size histogram is the process-
-    cumulative ``sampler.batch_size`` snapshot (documented as such in
-    docs/observability.md).  ``extra_entry`` adds extra keys to the
-    summary entry (e.g. the ``sampler_overhead`` verdict block, whose
-    arithmetic ``validate_bench_observability`` enforces).
+    (``bench-observability/v1``).  Resource numbers, the batch-size
+    histogram included, come from the last :func:`run_once` call: they
+    cover that run only, so its histogram's ``sum`` equals its
+    ``total_samples`` (which ``validate_bench_observability`` enforces).
+    ``extra_entry`` adds extra keys to the summary entry (e.g. the
+    ``sampler_overhead`` verdict block, whose arithmetic the validator
+    also enforces).
     """
     table = emit(name, rows, title)
     document = {
@@ -100,7 +109,7 @@ def emit_json(name: str, rows, title: str, extra_entry: dict | None = None) -> s
         "wall_clock_s": _LAST_RUN["wall_clock_s"],
         "total_queries": _LAST_RUN["total_queries"],
         "total_samples": _LAST_RUN["total_samples"],
-        "sample_batch_histogram": REGISTRY.histogram("sampler.batch_size").snapshot(),
+        "sample_batch_histogram": _LAST_RUN["sample_batch_histogram"],
     }
     if extra_entry:
         summary["experiments"][name].update(jsonable(extra_entry))

@@ -72,24 +72,44 @@ class PipelineResult:
         return h.hexdigest()[:16]
 
     def summary(self) -> "RunSummary":
-        """The lightweight cross-process face of this run."""
-        return RunSummary(
-            p_large=self.p_large,
-            samples_used=self.samples_used,
-            small_sample_size=self.small_sample_size,
-            num_large=len(self.large_items),
-            num_thresholds=len(self.eps_sequence),
-            signature_hash=self.signature_hash(),
-            tie_breaking=self.tie_rule is not None,
-            nonce=self.nonce,
-        )
+        """The lightweight cross-process face of this run, computed once.
+
+        Hashing I~ costs O(|I~|), so the first call memoizes the result
+        on this (frozen) object and every warm answer reuses it.  The
+        memo is not a field: ``==``, ``repr`` and pickles ignore it, and
+        ``dataclasses.replace`` builds a new object with a fresh memo.
+        Threads racing to fill it compute equal values, so no lock.
+        """
+        summary = self.__dict__.get("_summary")
+        if summary is None:
+            summary = RunSummary(
+                p_large=self.p_large,
+                samples_used=self.samples_used,
+                small_sample_size=self.small_sample_size,
+                num_large=len(self.large_items),
+                num_thresholds=len(self.eps_sequence),
+                signature_hash=self.signature_hash(),
+                tie_breaking=self.tie_rule is not None,
+                nonce=self.nonce,
+            )
+            object.__setattr__(self, "_summary", summary)
+        return summary
+
+    def __getstate__(self) -> dict:
+        # Pickle the fields only: a memoized pipeline pickles to the
+        # same bytes as a fresh one, and its copy recomputes the memo.
+        state = dict(self.__dict__)
+        state.pop("_summary", None)
+        return state
 
 
 @dataclass(frozen=True)
 class RunSummary:
-    """Lightweight summary of one pipeline run.
+    """Lightweight summary of one pipeline run, computed once per run.
 
-    This is what an :class:`LCAAnswer` carries instead of the full
+    :meth:`PipelineResult.summary` builds it on first use and every
+    answer from that pipeline shares the same object.  This is what an
+    :class:`LCAAnswer` carries instead of the full
     :class:`PipelineResult`: a handful of scalars that (a) identify the
     run — ``signature_hash`` equality implies identical answers to every
     query, ``nonce`` replays it — and (b) account for it (``p_large``,

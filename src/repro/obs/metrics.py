@@ -265,6 +265,48 @@ class Histogram:
         if smax is not None and float(smax) > self._max:
             self._max = float(smax)
 
+    def since(self, state: dict) -> "Histogram":
+        """The observations made after ``state`` (an earlier
+        :meth:`state` of this histogram), as a new histogram.
+
+        The inverse of :meth:`merge_state`: count, sum and every bucket
+        count are exact.  The window's min (max) is exact when it set a
+        new min (max) of this histogram; otherwise it is the edge of the
+        window's lowest (highest) bucket, clamped to the observed range —
+        the same resolution :meth:`quantile` has.
+        """
+        if int(state["bpd"]) != self._bpd:
+            raise ValueError(
+                f"histogram {self.name!r}: state has buckets_per_decade="
+                f"{state['bpd']}, not {self._bpd}"
+            )
+        delta = Histogram(self.name, buckets_per_decade=self._bpd)
+        before = state.get("buckets", {})
+        for idx, n in self._buckets.items():
+            added = n - int(before.get(str(idx), 0))
+            if added:
+                delta._buckets[idx] = added
+        delta._zero = self._zero - int(state.get("zero", 0))
+        delta._neg = self._neg - int(state.get("neg", 0))
+        delta._count = self._count - int(state.get("count", 0))
+        delta._sum = self._sum - float(state.get("sum", 0.0))
+        if delta._count == 0:
+            return delta
+        smin, smax = state.get("min"), state.get("max")
+        if smin is None or self._min < float(smin) or delta._neg:
+            delta._min = self._min
+        elif delta._zero:
+            delta._min = 0.0
+        else:
+            delta._min = max(10.0 ** (min(delta._buckets) / self._bpd), self._min)
+        if smax is None or self._max > float(smax):
+            delta._max = self._max
+        elif delta._buckets:
+            delta._max = min(10.0 ** ((max(delta._buckets) + 1) / self._bpd), self._max)
+        else:
+            delta._max = min(self._max, 0.0)
+        return delta
+
 
 class MetricsRegistry:
     """Named home for the process's counters, gauges, and histograms.

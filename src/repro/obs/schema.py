@@ -741,6 +741,11 @@ def validate_bench_overload(doc: dict) -> dict:
 def validate_bench_observability(doc: dict) -> dict:
     """Validate the top-level ``bench-observability/v1`` summary.
 
+    Each entry's ``sample_batch_histogram`` must be its own run's: its
+    ``sum`` equals the entry's ``total_samples`` (every charged batch
+    bumps both), and its ``count`` is 0 exactly when no sample was
+    drawn.  A process-cumulative histogram fails this.
+
     An experiment entry may carry a ``sampler_overhead`` block (the
     timeline sampler's cost on the fixed-rate wall row).  Its verdict
     arithmetic is enforced: ``overhead_frac`` must follow from the two
@@ -762,8 +767,26 @@ def validate_bench_observability(doc: dict) -> dict:
             _require(entry, "title", str, problems, where + ".")
             _require(entry, "wall_clock_s", _NUM, problems, where + ".")
             _require(entry, "total_queries", int, problems, where + ".")
-            _require(entry, "total_samples", int, problems, where + ".")
-            _require(entry, "sample_batch_histogram", dict, problems, where + ".")
+            samples_ok = _require(entry, "total_samples", int, problems, where + ".")
+            hist_ok = _require(
+                entry, "sample_batch_histogram", dict, problems, where + "."
+            )
+            hw = where + ".sample_batch_histogram"
+            if samples_ok and hist_ok:
+                hist, total = entry["sample_batch_histogram"], entry["total_samples"]
+                if _require(hist, "count", int, problems, hw + ".") and (
+                    (hist["count"] == 0) != (total == 0)
+                ):
+                    problems.append(
+                        f"{hw}.count is {hist['count']} but total_samples is "
+                        f"{total}: the histogram is not this run's"
+                    )
+                if _require(hist, "sum", _NUM, problems, hw + ".") and (
+                    abs(hist["sum"] - total) > 1e-9 * max(1, total)
+                ):
+                    problems.append(
+                        f"{hw}.sum is {hist['sum']} but total_samples is {total}"
+                    )
             if "sampler_overhead" not in entry:
                 continue
             block = entry["sampler_overhead"]

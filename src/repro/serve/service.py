@@ -43,10 +43,12 @@ import os
 import time
 from concurrent.futures import (
     FIRST_COMPLETED,
+    Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
     wait,
 )
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -1257,7 +1259,15 @@ class KnapsackService:
                         payload = self._chunk_payload(
                             shards[k], nonces[k], submissions[k], strict, k
                         )
-                        subs.append(pool.submit(_serve_chunk, payload))
+                        try:
+                            fut = pool.submit(_serve_chunk, payload)
+                        except BrokenProcessPool as exc:
+                            # A worker of this round died before this
+                            # submit, so the pool takes no more work:
+                            # the shard fails like one whose worker died.
+                            fut = Future()
+                            fut.set_exception(exc)
+                        subs.append(fut)
                         submissions[k] += 1
                     if len(subs) > 1:
                         hedges += 1

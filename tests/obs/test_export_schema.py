@@ -138,13 +138,36 @@ class TestBenchSchemas:
                     "wall_clock_s": 0.5,
                     "total_queries": 3,
                     "total_samples": 10,
-                    "sample_batch_histogram": {"count": 0, "sum": 0.0},
+                    "sample_batch_histogram": {"count": 1, "sum": 10.0},
                 }
             },
         }
         validate_bench_observability(doc)
         doc["experiments"]["E0"].pop("total_samples")
         with pytest.raises(SchemaError):
+            validate_bench_observability(doc)
+
+    @pytest.mark.parametrize(
+        "total_samples, histogram, message",
+        [
+            # E11's old entry: another run's cumulative histogram.
+            (0, {"count": 10, "sum": 1451700.0}, "count is 10"),
+            (1451700, {"count": 10, "sum": 1451699.0}, "sum is 1451699.0"),
+            (10, {"count": 0, "sum": 0.0}, "count is 0"),
+        ],
+    )
+    def test_bench_observability_histogram_must_match_its_run(
+        self, total_samples, histogram, message
+    ):
+        entry = {
+            "title": "t",
+            "wall_clock_s": 0.5,
+            "total_queries": 3,
+            "total_samples": total_samples,
+            "sample_batch_histogram": histogram,
+        }
+        doc = {"schema": "bench-observability/v1", "experiments": {"E0": entry}}
+        with pytest.raises(SchemaError, match=message):
             validate_bench_observability(doc)
 
     def test_dispatch(self):

@@ -7,6 +7,8 @@ bucket-wise addition, no approximation beyond the bucketing itself).
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.metrics import Histogram, MetricsRegistry
 
@@ -69,6 +71,51 @@ class TestHistogramMerge:
         left.merge_state(right.state())
         assert left.quantile(0.5) == one.quantile(0.5)
         assert left.quantile(0.99) == one.quantile(0.99)
+
+
+class TestHistogramSince:
+    """``since`` is the inverse of ``merge_state``: the histogram of
+    one run's observations out of a process-cumulative one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        before=st.lists(st.floats(-1e3, 1e6, allow_nan=False), max_size=30),
+        window=st.lists(st.floats(-1e3, 1e6, allow_nan=False), max_size=30),
+    )
+    def test_window_is_exact_up_to_bucket_resolution(self, before, window):
+        cumulative = Histogram("h")
+        cumulative.observe_many(before)
+        state = cumulative.state()
+        cumulative.observe_many(window)
+        delta = cumulative.since(state)
+        alone = Histogram("h")
+        alone.observe_many(window)
+        got, want = delta.state(), alone.state()
+        scale = 1.0 + sum(map(abs, before + window))
+        assert got["sum"] == pytest.approx(want["sum"], abs=1e-9 * scale)
+        for key in ("buckets", "zero", "neg", "count"):
+            assert got[key] == want[key]
+        if window:
+            # Bounds never cut off an observation of the window (bucket
+            # edges are exact up to log10's rounding).
+            slack = 1e-12 * max(abs(want["min"]), abs(want["max"]))
+            assert got["min"] <= want["min"] + slack
+            assert got["max"] >= want["max"] - slack
+            assert got["min"] >= cumulative.min and got["max"] <= cumulative.max
+        else:
+            assert delta.snapshot() == {"count": 0, "sum": 0.0}
+
+    def test_new_extremes_are_exact(self):
+        h = Histogram("h")
+        h.observe_many([5.0, 50.0])
+        state = h.state()
+        h.observe_many([1.0, 100.0])
+        delta = h.since(state)
+        assert (delta.count, delta.sum, delta.min, delta.max) == (2, 101.0, 1.0, 100.0)
+
+    def test_resolution_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            Histogram("h", buckets_per_decade=10).since(Histogram("h").state())
 
 
 class TestRegistryMerge:

@@ -1,7 +1,12 @@
 """KnapsackService: batching, caching, parallel sharding, accounting."""
 
+import dataclasses
+import pickle
+
 import pytest
 
+from repro.access.seeds import SeedChain
+from repro.core.simplified_instance import SimplifiedInstance
 from repro.errors import ReproError
 from repro.lca.base import LocalComputationAlgorithm
 from repro.serve import KnapsackService, PipelineCache, derive_worker_nonce
@@ -164,3 +169,64 @@ class TestSharedCache:
         assert stats["samples_used"] > 0
         assert stats["queries_used"] == 1
         assert stats["cache"]["misses"] == 1
+
+
+class TestOneSummaryPerPipeline:
+    """A warm answer reuses its pipeline's ``RunSummary`` instead of
+    re-hashing I~: one ``signature()`` per distinct pipeline, however
+    many answers it serves."""
+
+    def test_warm_answers_hash_each_pipeline_once(
+        self, tiers_instance, fast_params, monkeypatch
+    ):
+        hashed: list[int] = []
+        original = SimplifiedInstance.signature
+
+        def counting(simplified):
+            hashed.append(id(simplified))
+            return original(simplified)
+
+        monkeypatch.setattr(SimplifiedInstance, "signature", counting)
+        svc = KnapsackService(
+            tiers_instance, fast_params.epsilon, seed=3, params=fast_params,
+            executor="thread",
+        )
+        indices = list(range(0, 60, 7))
+        answers = []
+        for _ in range(50):
+            answers += svc.answer_batch(indices, nonce=9).answers
+        answers += [svc.answer(i, nonce=9) for i in indices]
+        for _ in range(3):
+            answers += svc.answer_batch(indices, nonce=9, workers=2).answers
+        nonces = [9] + [derive_worker_nonce(SeedChain(3), 9, k) for k in range(2)]
+        pipelines = {n: svc.pipeline_for(n)[0] for n in nonces}
+        assert len({id(p) for p in pipelines.values()}) == 3
+        assert sorted(hashed) == sorted(id(p.simplified) for p in pipelines.values())
+
+        # Every answer carries exactly what an unmemoized copy recomputes.
+        fresh = {n: dataclasses.replace(p).summary() for n, p in pipelines.items()}
+        assert len(answers) == (50 + 1 + 3) * len(indices)
+        for ans in answers:
+            assert ans.run == fresh[ans.run.nonce]
+            assert ans.run is pipelines[ans.run.nonce].summary()
+
+        pipeline = pipelines[9]
+        # The memo is invisible to ==, repr and pickles.
+        untouched = dataclasses.replace(pipeline)
+        assert pipeline == untouched and repr(pipeline) == repr(untouched)
+        assert pipeline == svc.lca.run_pipeline(nonce=9)
+        assert pickle.dumps(pipeline) == pickle.dumps(untouched)
+        clone = pickle.loads(pickle.dumps(pipeline))
+        assert clone == pipeline and clone.summary() == pipeline.summary()
+
+        # A replaced pipeline gets its own summary, not the stale one.
+        tie_service = KnapsackService(
+            tiers_instance, fast_params.epsilon, seed=3, params=fast_params,
+            tie_breaking=True,
+        )
+        tied, _ = tie_service.pipeline_for(9)
+        assert tied.tie_rule is not None and tied.summary().tie_breaking
+        untied = dataclasses.replace(tied, tie_rule=None)
+        assert untied.summary() == dataclasses.replace(untied).summary()
+        assert not untied.summary().tie_breaking
+        assert tied.summary().signature_hash != untied.summary().signature_hash

@@ -7,11 +7,15 @@ scenario, not a flaky one: with ``shard_kill_rate=1.0`` and
 requeue survives.
 """
 
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.errors import ShardFailureError
 from repro.faults import FaultPlan
 from repro.serve import KnapsackService
+from repro.serve import service as service_module
 
 INDICES = list(range(0, 60, 3))
 
@@ -47,6 +51,32 @@ class TestRequeue:
         want = threaded.answer_batch(INDICES, nonce=31, workers=2)
         assert [a.index for a in got.answers] == [a.index for a in want.answers]
         assert [a.include for a in got.answers] == [a.include for a in want.answers]
+
+    def test_pool_broken_during_submission_requeues(
+        self, tiers_instance, fast_params, monkeypatch
+    ):
+        # A worker killed before the round's second submit breaks the
+        # pool under it; that shard is requeued, not a crashed batch.
+        submits: list[int] = []
+
+        class BreaksOnSecondSubmit(ProcessPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                submits.append(1)
+                if len(submits) == 2:
+                    raise BrokenProcessPool("a worker died mid-submission")
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(service_module, "ProcessPoolExecutor", BreaksOnSecondSubmit)
+        svc = service(tiers_instance, fast_params)
+        threaded = KnapsackService(
+            tiers_instance, 0.1, seed=42, params=fast_params, cache=False
+        )
+        got = svc.answer_batch(INDICES, nonce=31, workers=2)
+        want = threaded.answer_batch(INDICES, nonce=31, workers=2)
+        assert got.shard_retries == 1 and got.degraded == 0
+        assert [(a.index, a.include) for a in got.answers] == [
+            (a.index, a.include) for a in want.answers
+        ]
 
     def test_exhausted_retries_degrade_the_shard(
         self, tiers_instance, fast_params
