@@ -1069,19 +1069,8 @@ def _cmd_shm_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    import json
-
-    from .core.parameters import LCAParameters
-    from .faults import RetryPolicy, chaos_sweep
-
-    inst = generate(args.family, args.n, seed=args.instance_seed)
-    params = None
-    if args.cap:
-        params = LCAParameters.calibrated(
-            args.epsilon, max_nrq=args.cap, max_m_large=args.cap
-        )
-    rates = tuple(float(r) for r in args.rates.split(",") if r.strip())
     from .obs.context import RunContext
+    from .obs.schema import BenchDocument
 
     context = RunContext.build(
         "chaos",
@@ -1091,31 +1080,17 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         epsilon=args.epsilon,
         chaos_seed=args.seed,
         lca_seed=args.lca_seed,
-        rates=list(rates),
+        rates=[float(r) for r in args.rates.split(",") if r.strip()],
         queries=args.queries,
         batches=args.batches,
         availability_target=args.target,
         retries=args.retries,
         cap=args.cap,
     )
-    doc = chaos_sweep(
-        inst,
-        epsilon=args.epsilon,
-        lca_seed=args.lca_seed,
-        chaos_seed=args.seed,
-        rates=rates,
-        queries=args.queries,
-        batches=args.batches,
-        availability_target=args.target,
-        params=params,
-        retry=RetryPolicy(max_retries=args.retries, seed=args.seed),
-        context=context,
-    )
+    doc = context.rerun()
     # Sorted keys + no timing fields: the same seed must produce the
     # same bytes (the CI chaos-smoke job diffs two runs).
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    with open(args.out, "w") as fh:
-        fh.write(text + "\n")
+    BenchDocument("chaos", doc, deterministic=True).write(args.out)
     rows = [
         [
             r["probe_failure_rate"],
@@ -1129,7 +1104,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         for r in doc["rows"]
     ]
     print(
-        f"chaos: family={args.family} n={inst.n} eps={args.epsilon} "
+        f"chaos: family={args.family} n={doc['n']} eps={args.epsilon} "
         f"chaos_seed={args.seed} lca_seed={args.lca_seed} "
         f"(deterministic: same seeds => byte-identical report)"
     )
@@ -1149,12 +1124,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_flightrec(args: argparse.Namespace) -> int:
-    import json
-
     from .core.parameters import LCAParameters
     from .faults import FaultPlan, RetryPolicy
     from .obs import runtime as obs_runtime
     from .obs.events import events_document, render_timeline
+    from .obs.schema import BenchDocument
     from .serve import KnapsackService
 
     inst = generate(args.family, args.n, seed=args.instance_seed)
@@ -1213,9 +1187,7 @@ def _cmd_flightrec(args: argparse.Namespace) -> int:
     if args.out:
         # Sorted keys + no timing fields: same seeds => same bytes (the
         # CI chaos-smoke job diffs two runs).
-        text = json.dumps(doc, indent=2, sort_keys=True)
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        BenchDocument("events", doc, deterministic=True).write(args.out)
         print(f"wrote events/v1 to {args.out}")
     if args.spill:
         print(
@@ -1227,7 +1199,7 @@ def _cmd_flightrec(args: argparse.Namespace) -> int:
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     from .load.sweep import run_load_sweep
-    from .obs.export import write_json
+    from .obs.schema import BenchDocument
 
     if args.listen:
         return _loadgen_listen(args)
@@ -1293,23 +1265,18 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         )
     else:
         print("saturation knee: not reached inside the swept rates")
-    if args.clock == "virtual":
-        # Sorted keys + virtual timestamps: same seeds => same bytes
-        # (the CI load-smoke job diffs two runs).
-        import json
-
-        with open(args.out, "w") as fh:
-            fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    else:
-        write_json(args.out, doc)
+    # Virtual clock: sorted keys, so same seeds => same bytes (the CI
+    # load-smoke job diffs two runs).
+    BenchDocument(
+        "bench-load", doc, deterministic=args.clock == "virtual"
+    ).write(args.out)
     print(f"wrote bench-load/v1 document to {args.out}")
     return 0
 
 
 def _cmd_overload(args: argparse.Namespace) -> int:
-    import json
-
     from .load.overload_sweep import run_overload_sweep
+    from .obs.schema import BenchDocument
 
     cfg = {
         "family": args.family,
@@ -1358,8 +1325,7 @@ def _cmd_overload(args: argparse.Namespace) -> int:
     )
     # Sorted keys + virtual timestamps: same seeds => same bytes (the
     # CI overload-smoke job cmp's two runs).
-    with open(args.out, "w") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    BenchDocument("bench-overload", doc, deterministic=True).write(args.out)
     print(f"wrote bench-overload/v1 document to {args.out}")
     if not comp["floor_met"]:
         print(
