@@ -1,99 +1,69 @@
 #!/usr/bin/env python3
-"""Distributed deployment: many workers, one solution, zero coordination.
+"""Many independent runs, one solution, zero coordination.
 
-The LCA model's headline feature (Section 1): independent copies of the
-algorithm — sharing nothing but the input oracles and a read-only seed
-— provide consistent query access to a single solution.  This example
-simulates a small cluster:
+The LCA model's headline feature (Section 1, Definitions 2.3/2.4):
+independent runs of the algorithm — sharing nothing but the input and a
+read-only seed — answer queries by one solution.  This example runs
+that audit as ``fleet`` cells of the scenario-matrix suite:
 
-* 8 workers, each holding a stateless LCA-KP copy;
-* 200 client queries arriving as a Poisson process, routed round-robin,
-  with deliberate repetition so contradictions would actually surface;
-* a final audit: consistency across workers, latency, per-worker load.
+* 32 runs, each under its own nonce, ask the same 60 probe items, each
+  run in its own random order;
+* the runs are graded against Lemma 4.9 (mean pairwise agreement
+  >= 1 - epsilon) and their unanimity is reported next to it;
+* the same runs are repeated over 2 process shards while a third of the
+  shards' first attempts are killed: a restarted stateless shard has
+  nothing to restore, so its answers must come back bit-identical.
 
 Run:  python examples/distributed_consistency.py
 """
 
-from repro import LCAParameters, generate
-from repro.distributed import ClusterSimulation
-from repro.reproducible import EfficiencyDomain
+from repro.suite import ScenarioCell, SuiteConfig, run_suite
 
-EPSILON = 0.1
+E16 = {
+    "kind": "fleet",
+    "family": "efficiency_tiers",
+    "n": 1500,
+    "instance_seed": 5,
+    "lca_seed": 31337,  # the ONLY thing the runs share besides the input
+    "cap": 8000,
+    "queries": 60,
+    "runs": 32,
+}
 
 
 def main() -> None:
-    # An efficiency-tiered workload: small items cluster into bands, the
-    # regime where reproducible quantiles lock onto identical thresholds.
-    instance = generate("efficiency_tiers", 3000, seed=5, tiers=8)
-    params = LCAParameters.calibrated(
-        EPSILON, domain=EfficiencyDomain(bits=10), max_nrq=20_000
+    config = SuiteConfig(
+        name="fleet-example",
+        cells=(
+            ScenarioCell(id="serial-runs", **E16),
+            ScenarioCell(
+                id="process-shards-kill-0.33",
+                executor="process",
+                workers=2,
+                rates=(0.0, 0.33),
+                **E16,
+            ),
+        ),
     )
-
-    sim = ClusterSimulation(
-        instance,
-        EPSILON,
-        seed=31337,  # the ONLY thing the workers share besides the input
-        params=params,
-        workers=8,
-        routing="round_robin",
-        arrival_rate=200.0,
-        network_latency=0.002,
-        rng_seed=1,
-    )
-    report = sim.run(200)
-
-    print(f"instance: n={instance.n}; workers: 8; queries: {len(report.records)}")
-    print(f"per-worker load:   {report.per_worker_load}")
-    print(f"total samples:     {report.total_samples}")
-    print(f"mean latency:      {report.mean_latency * 1000:.2f} ms")
-    print(f"p95 latency:       {report.p95_latency * 1000:.2f} ms")
-    print(f"consistency rate:  {report.consistency_rate:.3f}")
-    if report.fully_consistent:
-        print("audit: no item ever received contradictory answers "
-              "(workers share no state — only the seed)")
-    else:
-        print(f"audit: contested items: {report.contested_items}")
-        print("(expected occasionally: consistency holds w.p. >= 1 - eps)")
-
-    # Show a few repeated queries answered by different workers.
-    print("\nsample of repeated queries:")
-    seen: dict[int, list] = {}
-    for rec in report.records:
-        seen.setdefault(rec.item, []).append(rec)
-    shown = 0
-    for item, recs in seen.items():
-        if len(recs) >= 3 and shown < 5:
-            answers = ", ".join(
-                f"worker{r.worker_id}:{'IN' if r.include else 'out'}" for r in recs[:4]
+    result = run_suite(config)
+    for r in result.results:
+        m = r.metrics
+        print(f"{r.cell.id}: {r.outcome}")
+        print(f"  runs x probes:       {m['runs']} x {m['probes']}")
+        print(
+            f"  pairwise agreement:  {m['pairwise_agreement']:.4f} "
+            f"(Lemma 4.9 floor {1 - r.cell.epsilon:.2f})"
+        )
+        print(
+            f"  unanimity:           {m['unanimity']:.4f} "
+            f"(split items: {m['split_items'] or 'none'})"
+        )
+        if max(m["rates"]) > 0:
+            print(
+                f"  kill ladder {m['rates']}: {m['kills']} first-attempt shard "
+                f"kills, answers identical to rate 0: {m['crash_transparent']}"
             )
-            print(f"  item {item:5d}: {answers}")
-            shown += 1
-
-    # Act two: chaos. Crash a third of all service attempts — a
-    # restarted stateless worker has nothing to restore, so the retried
-    # runs are just more runs, and consistency survives by construction.
-    chaotic = ClusterSimulation(
-        instance,
-        EPSILON,
-        seed=31337,
-        params=params,
-        workers=8,
-        routing="least_loaded",
-        arrival_rate=200.0,
-        network_latency=0.002,
-        crash_rate=0.33,
-        rng_seed=2,
-    )
-    chaos_report = chaotic.run(200)
-    retried = sum(1 for r in chaos_report.records if r.attempts > 1)
-    print(
-        f"\nwith crash_rate=0.33: {chaos_report.total_crashes} crashes, "
-        f"{retried} queries retried, all {len(chaos_report.records)} answered"
-    )
-    print(
-        f"consistency under chaos: {chaos_report.consistency_rate:.3f} "
-        f"(contested items: {list(chaos_report.contested_items) or 'none'})"
-    )
+    print("suite ok" if result.ok else "suite FAILED")
 
 
 if __name__ == "__main__":

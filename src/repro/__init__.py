@@ -18,11 +18,12 @@ The paper's LCA (Theorem 4.1)::
     lca = LCAKP(WeightedSampler(inst), QueryOracle(inst), epsilon=0.05, seed=42)
     lca.answer(17).include          # "is item 17 in the solution?"
 
-Reference solvers, the impossibility constructions, the reproducible-
-quantile machinery and the distributed simulation live in the
-``knapsack``, ``lowerbounds``, ``reproducible`` and ``distributed``
-subpackages; see DESIGN.md for the full inventory and EXPERIMENTS.md
-for the per-theorem measurements.
+Reference solvers, the impossibility constructions and the reproducible-
+quantile machinery live in the ``knapsack``, ``lowerbounds`` and
+``reproducible`` subpackages; many independent runs over one seed are
+audited by the ``fleet`` cells of the ``suite`` subpackage.  See
+DESIGN.md for the full inventory and EXPERIMENTS.md for the
+per-theorem measurements.
 """
 
 from .access import (
@@ -47,7 +48,7 @@ from .errors import (
     SolverError,
 )
 from .knapsack import FAMILIES, Item, KnapsackInstance, generate
-from .lca import AlwaysNoLCA, FullReadLCA, LCAFleet
+from .lca import AlwaysNoLCA, FullReadLCA
 from .reproducible import EfficiencyDomain, ReproducibleQuantileEstimator
 
 __version__ = "1.0.0"
@@ -74,7 +75,6 @@ __all__ = [
     # LCA framework
     "AlwaysNoLCA",
     "FullReadLCA",
-    "LCAFleet",
     # reproducible machinery
     "EfficiencyDomain",
     "ReproducibleQuantileEstimator",

@@ -161,30 +161,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "('-' for stdout)",
     )
 
-    p_cluster = sub.add_parser(
-        "cluster", help="simulate a distributed LCA deployment and audit it"
-    )
-    p_cluster.add_argument("--family", default="efficiency_tiers", choices=sorted(FAMILIES))
-    p_cluster.add_argument("--n", type=int, default=2000)
-    p_cluster.add_argument("--seed", type=int, default=0)
-    p_cluster.add_argument("--epsilon", type=float, default=0.1)
-    p_cluster.add_argument("--workers", type=int, default=4)
-    p_cluster.add_argument("--queries", type=int, default=60)
-    p_cluster.add_argument(
-        "--routing", default="round_robin", choices=("random", "round_robin", "least_loaded")
-    )
-    p_cluster.add_argument(
-        "--crash-rate", type=float, default=0.0, help="probability a service attempt crashes"
-    )
-    p_cluster.add_argument(
-        "--cache-size", type=int, default=0,
-        help="cluster-shared pipeline cache capacity (0 disables)",
-    )
-    p_cluster.add_argument(
-        "--nonce-pool", type=int, default=0,
-        help="draw query nonces from a pool of this many (pinning enables cache hits)",
-    )
-
     p_serve = sub.add_parser(
         "serve", help="serve a query batch through the KnapsackService engine"
     )
@@ -1773,43 +1749,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    from .distributed.cluster import ClusterSimulation
-
-    inst = generate(args.family, args.n, seed=args.seed)
-    sim = ClusterSimulation(
-        inst,
-        args.epsilon,
-        seed=31337,
-        workers=args.workers,
-        routing=args.routing,
-        crash_rate=args.crash_rate,
-        cache_capacity=args.cache_size,
-        nonce_pool=args.nonce_pool,
-    )
-    report = sim.run(args.queries)
-    print(
-        f"cluster: {args.workers} workers, {args.queries} queries, "
-        f"routing={args.routing}, crash_rate={args.crash_rate}"
-    )
-    rows = [
-        ["queries answered", len(report.records)],
-        ["consistency rate", f"{report.consistency_rate:.3f}"],
-        ["contested items", len(report.contested_items)],
-        ["crashes (retried)", report.total_crashes],
-        ["mean latency (ms)", f"{report.mean_latency * 1000:.2f}"],
-        ["p95 latency (ms)", f"{report.p95_latency * 1000:.2f}"],
-        ["total samples", report.total_samples],
-        ["per-worker load", " ".join(map(str, report.per_worker_load))],
-    ]
-    if report.cache is not None:
-        rows.append(
-            ["pipeline cache", f"{report.cache['hits']} hits / {report.cache['misses']} misses"]
-        )
-    print(format_table(["metric", "value"], rows))
-    return 0
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
     from .analysis.report import generate_report
 
@@ -1868,7 +1807,6 @@ def main(argv: list[str] | None = None) -> int:
         "flightrec": _cmd_flightrec,
         "obs-diff": _cmd_obs_diff,
         "suite": _cmd_suite,
-        "cluster": _cmd_cluster,
         "serve": _cmd_serve,
         "loadgen": _cmd_loadgen,
         "overload": _cmd_overload,

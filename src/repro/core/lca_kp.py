@@ -393,10 +393,9 @@ class LCAKP:
         Every call re-runs the full pipeline: no state survives between
         queries, per Definition 2.2.  Use :meth:`answer_many` when the
         *caller* wants to amortize a run over several queries (that is
-        the caller's prerogative — e.g. the distributed simulation gives
-        each worker one run per incoming batch — and does not change the
-        output law, since answers are a deterministic function of the
-        pipeline result).
+        the caller's prerogative — e.g. the serving engine gives each
+        batch shard one run — and does not change the output law, since
+        answers are a deterministic function of the pipeline result).
         """
         with _obs.span("lca.answer"):
             pipeline = self.run_pipeline(nonce=nonce)

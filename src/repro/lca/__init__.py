@@ -1,4 +1,4 @@
-"""LCA framework: protocol, baselines, consistency audits, fleet harness."""
+"""LCA framework: protocol, baselines, consistency audits."""
 
 from .base import LCAKPAdapter, LocalComputationAlgorithm
 from .consistency import (
@@ -9,7 +9,6 @@ from .consistency import (
 )
 from .full_read import FullReadLCA
 from .oblivious import ObliviousThresholdLCA
-from .runner import FleetAnswer, LCAFleet
 from .trivial import AlwaysNoLCA, AlwaysYesIfFreeLCA
 
 __all__ = [
@@ -23,6 +22,4 @@ __all__ = [
     "audit_consistency",
     "audit_order_obliviousness",
     "assemble_solution",
-    "FleetAnswer",
-    "LCAFleet",
 ]

@@ -44,6 +44,8 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
+from ..suite.cells import CELL_EXPECTS, CELL_KINDS
+
 __all__ = [
     "SchemaError",
     "BenchDocument",
@@ -771,9 +773,7 @@ def validate_bench_diff(doc: dict) -> dict:
     return _verdict("bench-diff/v1", doc, problems)
 
 
-_CELL_KINDS = ("approx", "load", "chaos", "adversarial", "overload")
 _CELL_OUTCOMES = ("pass", "fail", "expected_failure", "error")
-_CELL_EXPECTS = ("pass", "budget_failure")
 _SUMMARY_COUNTS = {"passed": "pass", "failed": "fail",
                    "expected_failures": "expected_failure", "errors": "error"}
 
@@ -805,9 +805,9 @@ def validate_suite_report(doc: dict) -> dict:
             if cell["id"] in seen_ids:
                 problems.append(f"{where}id {cell['id']!r} is duplicated")
             seen_ids.add(cell["id"])
-        _require(cell, "kind", str, problems, where, choices=_CELL_KINDS)
+        _require(cell, "kind", str, problems, where, choices=CELL_KINDS)
         expect_ok = _require(cell, "expect", str, problems, where,
-                             choices=_CELL_EXPECTS)
+                             choices=CELL_EXPECTS)
         outcome_ok = _require(cell, "outcome", str, problems, where,
                               choices=_CELL_OUTCOMES)
         _require(cell, "metrics", dict, problems, where)

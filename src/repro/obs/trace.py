@@ -13,8 +13,8 @@ per-phase counts sum to ``QueryOracle.queries_used`` (the property the
 The tracer is **disabled by default**.  Disabled, ``span()`` returns a
 shared singleton whose ``__enter__``/``__exit__`` do nothing and
 ``add()`` returns after one attribute check — hot paths pay a few
-nanoseconds, not a tree allocation.  Context is thread-local, so fleet
-and cluster simulations can trace concurrently without cross-talk.
+nanoseconds, not a tree allocation.  Context is thread-local, so thread
+shards of one batch can trace concurrently without cross-talk.
 
 **Trace context crosses execution boundaries.**  Every span carries a
 ``trace_id`` plus a hierarchical, deterministic ``span_id`` (the root is

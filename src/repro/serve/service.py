@@ -18,9 +18,9 @@ three such amortizations, none of which touches the output law:
   ``concurrent.futures`` thread or process pool; shard ``w`` of a batch
   with base nonce ``b`` runs under the *derived* nonce
   ``derive_worker_nonce(seed, b, w)``, so the shards are exactly N
-  independent fleet copies sharing the read-only seed r (the
-  :class:`~repro.lca.LCAFleet` semantics), and every shard's answers
-  can be replayed serially from its recorded nonce.
+  independent LCA runs sharing the read-only seed r (what a suite
+  ``fleet`` cell audits), and every shard's answers can be replayed
+  serially from its recorded nonce.
 
 On top of the amortizations sits the **resilience layer** (see
 ``docs/robustness.md``): the service can treat oracle access as an

@@ -25,7 +25,13 @@ from .cells import (
     ScenarioCell,
     SuiteConfig,
 )
-from .checks import adversarial_checks, approx_checks, chaos_checks, load_checks
+from .checks import (
+    adversarial_checks,
+    approx_checks,
+    chaos_checks,
+    fleet_checks,
+    load_checks,
+)
 from .runner import SUITE_SCHEMA, CellResult, SuiteResult, SuiteRunner, run_suite
 
 __all__ = [
@@ -44,6 +50,7 @@ __all__ = [
     "adversarial_checks",
     "approx_checks",
     "chaos_checks",
+    "fleet_checks",
     "load_checks",
     "run_suite",
 ]

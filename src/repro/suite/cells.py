@@ -3,7 +3,9 @@
 A :class:`ScenarioCell` is one point of the scenario matrix — generator
 family × instance size × epsilon × oracle model × executor × clock ×
 fault plan — plus what the runner should *expect* of it.  Positive
-cells (``expect="pass"``) exercise the Theorem 4.1/4.5 guarantees;
+cells (``expect="pass"``) exercise the Theorem 4.1/4.5 guarantees and,
+as ``fleet`` cells, the Definition 2.3/2.4 promise that independent
+runs sharing only input and seed answer by one solution;
 adversarial cells built on the Section 3 lower-bound families
 (``expect="budget_failure"``) are supposed to fail within their query
 budget, and the suite treats that failure as the correct outcome — a
@@ -37,7 +39,7 @@ __all__ = [
     "SuiteConfig",
 ]
 
-CELL_KINDS = ("approx", "load", "chaos", "adversarial", "overload")
+CELL_KINDS = ("approx", "load", "chaos", "adversarial", "overload", "fleet")
 CELL_EXPECTS = ("pass", "budget_failure")
 ORACLE_MODELS = ("ideal", "faulty", "faulty_hedged")
 EXECUTORS = ("inline", "thread", "process")
@@ -165,6 +167,29 @@ class ScenarioCell:
                     f"an impossibility bound and needs theorem in {THEOREMS}, "
                     f"got {self.theorem!r}"
                 )
+        if self.kind == "fleet":
+            if self.runs < 2:
+                raise ReproError(
+                    f"cell {self.id!r}: fleet cells need runs >= 2 "
+                    f"(agreement is measured between runs), got {self.runs}"
+                )
+            if not 1 <= self.queries <= self.n:
+                raise ReproError(
+                    f"cell {self.id!r}: fleet cells need 1 <= queries <= n "
+                    f"distinct probes, got {self.queries}"
+                )
+            for rate in self.rates:
+                if not 0.0 <= rate <= 1.0:
+                    raise ReproError(
+                        f"cell {self.id!r}: shard-kill rates must lie in "
+                        f"[0, 1], got {rate}"
+                    )
+                if rate > 0.0 and self.executor != "process":
+                    raise ReproError(
+                        f"cell {self.id!r}: shard kills only happen in "
+                        f"process pools; kill rate {rate} needs "
+                        f"executor='process', got {self.executor!r}"
+                    )
         if self.service_workers < 0:
             raise ReproError(
                 f"cell {self.id!r}: service_workers must be >= 0, "

@@ -16,7 +16,9 @@ thresholds come from the paper where the paper supplies one:
   (2/3 for Theorems 3.2/3.3, 4/5 for Theorem 3.4), and its Wilson
   lower confidence bound must not *exceed* the criterion — the latter
   flipping to ``ok=False`` is the suite saying "an impossibility bound
-  was beaten", which no amount of ``expect`` can excuse.
+  was beaten", which no amount of ``expect`` can excuse;
+* ``lemma49_agreement`` — a fleet cell's runs must agree pairwise on
+  at least a ``1 - epsilon`` fraction of the probes (Lemma 4.9).
 
 Cell-level overrides ride in ``cell.checks``: ``min_ratio`` (the CI
 doctoring knob), ``probe_margin``, ``min_availability``.
@@ -31,6 +33,7 @@ __all__ = [
     "chaos_checks",
     "adversarial_checks",
     "overload_checks",
+    "fleet_checks",
     "success_criterion",
 ]
 
@@ -85,6 +88,12 @@ def approx_checks(cell, metrics: dict) -> list[dict]:
             "worst-run p(C)/OPT vs the cell's configured floor",
         ),
     ]
+    return out + _probes_and_availability(cell, metrics)
+
+
+def _probes_and_availability(cell, metrics: dict) -> list[dict]:
+    """The Theorem 4.5 probe bill (ideal oracle only) and availability."""
+    out = []
     if cell.oracle == "ideal":
         margin = float(cell.checks.get("probe_margin", 1.0))
         budget = float(metrics["probe_budget"]) * margin
@@ -107,6 +116,43 @@ def approx_checks(cell, metrics: dict) -> list[dict]:
         )
     )
     return out
+
+
+def fleet_checks(cell, metrics: dict) -> list[dict]:
+    """Lemma 4.9 agreement between runs, crash transparency, and the
+    approx cells' probe and availability rules."""
+    floor = 1.0 - float(cell.epsilon)
+    agreement = float(metrics["pairwise_agreement"])
+    out = [
+        check(
+            "lemma49_agreement",
+            agreement >= floor - 1e-9,
+            agreement,
+            floor,
+            "mean pairwise run agreement on the probes vs 1 - epsilon "
+            "(Lemma 4.9)",
+        ),
+        check(
+            "crash_transparent",
+            bool(metrics["crash_transparent"]),
+            bool(metrics["crash_transparent"]),
+            True,
+            "every kill rate's answer table equals the rate-0 table "
+            "at the same shard layout",
+        ),
+    ]
+    if max(metrics["rates"]) > 0.0:
+        out.append(
+            check(
+                "crashes_fired",
+                int(metrics["kills"]) >= 1,
+                int(metrics["kills"]),
+                1,
+                "the top kill rate must kill at least one first-attempt "
+                "shard (else the crash rung proves nothing)",
+            )
+        )
+    return out + _probes_and_availability(cell, metrics)
 
 
 def load_checks(cell, rows: list[dict], knee: dict) -> list[dict]:

@@ -2,7 +2,8 @@
 
 :class:`SuiteRunner` executes every :class:`~repro.suite.cells.ScenarioCell`
 of a :class:`~repro.suite.cells.SuiteConfig` through the subsystem the
-cell names — the core pipeline for approximation cells, the open-loop
+cell names — the core pipeline for approximation cells, independent
+service runs for fleet cells, the open-loop
 :class:`~repro.load.LoadHarness` for load cells,
 :func:`~repro.faults.chaos_sweep` for chaos cells, and the
 Section 3 closed-form strategies for adversarial cells — then grades
@@ -37,6 +38,7 @@ from .checks import (
     adversarial_checks,
     approx_checks,
     chaos_checks,
+    fleet_checks,
     load_checks,
     overload_checks,
 )
@@ -58,6 +60,7 @@ _ROW_METRICS = {
         "full_quality_off",
         "overload_rate",
     ),
+    "fleet": ("pairwise_agreement", "unanimity", "availability"),
 }
 
 
@@ -219,6 +222,8 @@ class SuiteRunner:
             return self._run_adversarial(cell)
         if cell.kind == "overload":
             return self._run_overload(cell)
+        if cell.kind == "fleet":
+            return self._run_fleet(cell)
         raise ReproError(f"cell {cell.id!r}: unknown kind {cell.kind!r}")
 
     # ------------------------------------------------------------------
@@ -238,19 +243,24 @@ class SuiteRunner:
             )
         return LCAParameters.calibrated(cell.epsilon)
 
-    def _service(self, cell: ScenarioCell, inst, params):
+    def _service(self, cell: ScenarioCell, inst, params, *, kill_rate: float = 0.0):
+        """The cell's service: probe faults from its oracle model, shard
+        kills at ``kill_rate`` (fleet cells' crash ladder)."""
         from ..faults import FaultPlan, RetryPolicy
         from ..serve import KnapsackService
 
+        faulty = cell.oracle in ("faulty", "faulty_hedged")
         plan = None
         policy = None
-        if cell.oracle in ("faulty", "faulty_hedged"):
+        if faulty or kill_rate > 0.0:
             plan = FaultPlan(
                 seed=int(self._config.seed) + zlib.crc32(cell.id.encode()) % 2**16,
-                probe_failure_rate=cell.fault_rate,
-                corruption_rate=cell.corruption_rate,
-                latency_spike_rate=cell.latency_spike_rate,
+                probe_failure_rate=cell.fault_rate if faulty else 0.0,
+                corruption_rate=cell.corruption_rate if faulty else 0.0,
+                latency_spike_rate=cell.latency_spike_rate if faulty else 0.0,
+                shard_kill_rate=kill_rate,
             )
+        if faulty:
             policy = RetryPolicy(
                 max_retries=cell.retries,
                 seed=cell.lca_seed,
@@ -267,7 +277,7 @@ class SuiteRunner:
             executor="thread" if cell.executor == "inline" else cell.executor,
             fault_plan=plan,
             retry_policy=policy,
-            strict=plan is None,
+            strict=not faulty,
         )
 
     def _run_approx(self, cell: ScenarioCell) -> tuple[dict, list]:
@@ -310,6 +320,66 @@ class SuiteRunner:
         if cell.oracle == "faulty_hedged":
             metrics["probe_hedges"] = int(service.probe_hedges_used)
         return metrics, approx_checks(cell, metrics)
+
+    def _run_fleet(self, cell: ScenarioCell) -> tuple[dict, list]:
+        """Ask one probe set of ``runs`` independent runs, each under its
+        own nonce and in its own order, at every shard-kill rate; grade
+        the rate-0 table against Lemma 4.9 and every other rate's table
+        against it bit for bit."""
+        from ..access.seeds import SeedChain
+        from ..lca.consistency import audit_consistency
+        from ..serve.service import derive_worker_nonce
+
+        inst = self._instance(cell)
+        params = self._params(cell)
+        rng = self._cell_rng(cell)
+        probes = [int(i) for i in rng.choice(inst.n, size=cell.queries, replace=False)]
+        orders = [rng.permutation(cell.queries) for _ in range(cell.runs)]
+        nonces = [1_000 + r for r in range(cell.runs)]
+        workers = None if cell.executor == "inline" else cell.workers
+        rates = sorted({0.0, *cell.rates})
+        tables, answered, degraded, pipelines, samples = [], 0, 0, 0, 0
+        for rate in rates:
+            service = self._service(cell, inst, params, kill_rate=rate)
+            table = []
+            for order, nonce in zip(orders, nonces):
+                report = service.answer_batch(
+                    [probes[k] for k in order], nonce=nonce, workers=workers
+                )
+                include = {a.index: bool(a.include) for a in report.answers}
+                table.append([include[p] for p in probes])
+                answered += len(report.answers)
+                degraded += int(report.degraded)
+                pipelines += int(report.pipelines_run)
+            samples += service.samples_used
+            tables.append(table)
+        audit = audit_consistency(lambda r: tables[0][r], probes, runs=cell.runs)
+        # First-attempt kills at the top rate (the last service built),
+        # read off the plan's stateless coins: retry counts depend on
+        # pool timing and stay out of the report.
+        kills = 0
+        if service.fault_plan is not None and workers is not None and workers > 1:
+            seed = SeedChain(cell.lca_seed)
+            kills = sum(
+                service.fault_plan.shard_kill(derive_worker_nonce(seed, nonce, k), 0)
+                for nonce in nonces
+                for k in range(min(workers, cell.queries))
+            )
+        metrics = {
+            "probes": len(probes),
+            "runs": int(cell.runs),
+            "rates": rates,
+            "pairwise_agreement": round(audit.pairwise_agreement, 9),
+            "unanimity": round(audit.unanimity, 9),
+            "split_items": list(audit.disagreeing_items),
+            "crash_transparent": all(t == tables[0] for t in tables),
+            "kills": int(kills),
+            "availability": round(1.0 - degraded / answered, 9),
+            "samples_per_pipeline": round(samples / max(1, pipelines), 3),
+            "probe_budget": int(params.expected_query_cost()),
+            "pipelines_run": int(pipelines),
+        }
+        return metrics, fleet_checks(cell, metrics)
 
     def _run_load(self, cell: ScenarioCell) -> tuple[dict, list]:
         from ..load.sweep import run_load_sweep

@@ -82,48 +82,6 @@ class TestInstanceEdges:
         assert inst.weight_of([0, 0]) == pytest.approx(inst.weight(0))
 
 
-class TestFleetEdges:
-    def test_contested_query_detection(self, tiers_instance, fast_params):
-        from repro.lca.runner import LCAFleet
-
-        fleet = LCAFleet(
-            instance=tiers_instance,
-            epsilon=fast_params.epsilon,
-            seed=42,
-            copies=2,
-            params=fast_params,
-        )
-        fleet.ask(3, copy_id=0, nonce=1)
-        fleet.ask(3, copy_id=1, nonce=2)
-        # Forge a disagreement in the history to exercise the audit path.
-        from repro.lca.runner import FleetAnswer
-
-        first = fleet.history[0]
-        fleet.history.append(
-            FleetAnswer(
-                copy_id=1,
-                index=first.index,
-                include=not first.include,
-                samples_spent=0,
-            )
-        )
-        contested = fleet.contested_queries()
-        assert first.index in contested
-
-    def test_default_nonce_path(self, tiers_instance, fast_params):
-        from repro.lca.runner import LCAFleet
-
-        fleet = LCAFleet(
-            instance=tiers_instance,
-            epsilon=fast_params.epsilon,
-            seed=42,
-            copies=1,
-            params=fast_params,
-        )
-        ans = fleet.ask(0)  # OS-entropy nonce
-        assert isinstance(ans.include, bool)
-
-
 class TestSamplerEdges:
     def test_custom_sampler_sample_many(self, tiers_instance):
         from repro.access.weighted_sampler import CustomSampler

@@ -79,50 +79,6 @@ class TestExperimentCommand:
         assert rows == [{"delta": 0.2, "ok": True}]
 
 
-class TestClusterCommand:
-    def test_cluster_runs_and_reports(self, capsys):
-        rc = main(
-            [
-                "cluster",
-                "--family",
-                "efficiency_tiers",
-                "--n",
-                "300",
-                "--epsilon",
-                "0.2",
-                "--workers",
-                "2",
-                "--queries",
-                "6",
-            ]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "consistency rate" in out
-        assert "per-worker load" in out
-
-    def test_cluster_with_crashes(self, capsys):
-        rc = main(
-            [
-                "cluster",
-                "--family",
-                "efficiency_tiers",
-                "--n",
-                "300",
-                "--epsilon",
-                "0.2",
-                "--workers",
-                "2",
-                "--queries",
-                "6",
-                "--crash-rate",
-                "0.4",
-            ]
-        )
-        assert rc == 0
-        assert "crashes" in capsys.readouterr().out
-
-
 class TestLcaTieBreakingFlag:
     def test_tie_breaking_flag_accepted(self, capsys):
         rc = main(

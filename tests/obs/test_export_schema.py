@@ -288,8 +288,9 @@ _BASES = {
             {"id": "b", "kind": "load", "expect": "budget_failure",
              "outcome": "expected_failure", "metrics": {},
              "checks": [{"name": "p99", "ok": True}]},
-            {"id": "c", "kind": "chaos", "expect": "pass", "outcome": "fail",
-             "metrics": {}, "checks": [{"name": "avail", "ok": False}]},
+            {"id": "c", "kind": "fleet", "expect": "pass", "outcome": "fail",
+             "metrics": {}, "checks": [{"name": "lemma49_agreement",
+                                        "ok": False}]},
         ],
         "rows": [{"mode": "suite:a"}, {"mode": "suite:b"}, {"mode": "suite:c"}],
         "summary": {"cells": 3, "passed": 1, "failed": 1,
@@ -554,6 +555,7 @@ DOCTORED = [
      "cells[0].checks[0].ok"),
     ("suite-report", put("fail", "cells", 0, "outcome"), "cells[0].outcome"),
     ("suite-report", put("pass", "cells", 1, "outcome"), "cells[1].outcome"),
+    ("suite-report", put("pass", "cells", 2, "outcome"), "cells[2].outcome"),
     ("suite-report", put({}, "rows"), "rows"),
     ("suite-report", put(3, "rows", 0), "rows[0]"),
     ("suite-report", drop("rows", 0, "mode"), "rows[0].mode"),

@@ -95,37 +95,3 @@ def test_batch_answers_share_one_pipeline(tiers_instance, fast_params, epsilon):
     # One pipeline run, not four.
     assert sum(1 for s, _ in root.walk() if s.name == "lca.pipeline") == 1
     assert sum(phase_counts(root, "samples").values()) == sampler.samples_used
-
-
-def test_fleet_aggregates_phase_totals(tiers_instance, fast_params, epsilon):
-    from repro.lca.runner import LCAFleet
-
-    fleet = LCAFleet(
-        tiers_instance, epsilon, seed=3, copies=2, params=fast_params
-    )
-    for i in range(4):
-        answer = fleet.ask(i, nonce=100 + i)
-        assert answer.phase_queries is not None
-        assert sum(answer.phase_queries.values()) == 1
-    totals = fleet.phase_totals()
-    assert sum(totals["queries"].values()) == fleet.total_queries() == 4
-    assert sum(totals["samples"].values()) == fleet.total_samples()
-
-
-def test_cluster_report_aggregates_phase_totals(tiers_instance, fast_params, epsilon):
-    from repro.distributed.cluster import ClusterSimulation
-
-    sim = ClusterSimulation(
-        tiers_instance,
-        epsilon,
-        seed=42,
-        params=fast_params,
-        workers=2,
-        arrival_rate=100.0,
-    )
-    report = sim.run(6)
-    assert sum(report.phase_queries.values()) == report.total_queries == 6
-    assert sum(report.phase_samples.values()) == report.total_samples
-    doc = report.to_dict()
-    assert doc["total_queries"] == 6
-    assert doc["phase_queries"] == report.phase_queries

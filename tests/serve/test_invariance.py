@@ -9,13 +9,16 @@ service regime must agree exactly with fresh serial
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.access.oracle import QueryOracle
 from repro.access.weighted_sampler import WeightedSampler
 from repro.core.lca_kp import LCAKP
+from repro.core.parameters import LCAParameters
 from repro.knapsack import generators
+from repro.reproducible.domains import EfficiencyDomain
 from repro.serve import KnapsackService
 
 N = 300
@@ -136,3 +139,34 @@ class TestTieBreakingInvariance:
         )
         expected = [lca.answer(i, nonce=nonce).include for i in indices]
         assert got == expected
+
+
+@pytest.fixture(scope="module")
+def e16_service():
+    """The fleet benchmark's instance and parameters behind a
+    thread-sharded service (seed 31337)."""
+    instance = generators.efficiency_tiers(1500, seed=5, tiers=8)
+    params = LCAParameters.calibrated(
+        0.1, domain=EfficiencyDomain(bits=10), max_nrq=8_000, max_m_large=8_000
+    )
+    return KnapsackService(
+        instance, 0.1, seed=31337, params=params, cache=False, executor="thread"
+    )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: _batch_parallel assigns items to shards by "
+    "position (idx[k::w]), so a sharded batch's answers depend on query "
+    "order, violating Definition 2.4",
+)
+def test_sharded_batch_answers_do_not_depend_on_query_order(e16_service):
+    # 60 distinct items; today 5 of them flip when the batch is reversed
+    # because reversal moves each item to the other shard's nonce.
+    items = [int(i) for i in np.random.default_rng(6).choice(1500, 60, replace=False)]
+
+    def answers(batch):
+        report = e16_service.answer_batch(batch, nonce=10061, workers=2)
+        return {a.index: a.include for a in report.answers}
+
+    assert answers(items) == answers(items[::-1])

@@ -48,6 +48,28 @@ class TestScenarioCell:
         with pytest.raises(ReproError, match="rates"):
             ScenarioCell(id="c", kind="load")
 
+    @pytest.mark.parametrize(
+        "over,match",
+        [
+            ({"rates": (0.0, 0.33)}, "executor='process'"),
+            ({"rates": (0.33,), "executor": "thread"}, "executor='process'"),
+            ({"rates": (1.5,), "executor": "process"}, r"\[0, 1\]"),
+            ({"rates": (-0.1,), "executor": "process"}, r"\[0, 1\]"),
+            ({"runs": 1}, "runs >= 2"),
+            ({"queries": 0}, "queries <= n"),
+            ({"queries": 301}, "queries <= n"),
+        ],
+    )
+    def test_fleet_cells_are_validated(self, over, match):
+        with pytest.raises(ReproError, match=match):
+            ScenarioCell(**{"id": "c", "kind": "fleet", **over})
+
+    def test_fleet_kill_ladder_on_process_shards_is_accepted(self):
+        cell = ScenarioCell(
+            id="c", kind="fleet", executor="process", rates=(0.0, 0.33)
+        )
+        assert ScenarioCell.from_dict(cell.to_dict()) == cell
+
     def test_hedged_oracle_gets_a_default_hedge_and_retries(self):
         cell = ScenarioCell(id="c", kind="approx", oracle="faulty_hedged")
         assert cell.hedge_after_s == 0.002

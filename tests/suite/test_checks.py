@@ -1,7 +1,12 @@
 """The per-cell acceptance checks, exercised on hand-built inputs."""
 
 from repro.lowerbounds.query_complexity import StrategyEvaluation
-from repro.suite import ScenarioCell, adversarial_checks, approx_checks
+from repro.suite import (
+    ScenarioCell,
+    adversarial_checks,
+    approx_checks,
+    fleet_checks,
+)
 from repro.suite.checks import check, load_checks, success_criterion
 
 
@@ -66,6 +71,74 @@ class TestApproxChecks:
         ideal = ScenarioCell(id="c", kind="approx")
         out = by_name(approx_checks(ideal, self.metrics(availability=0.95)))
         assert not out["availability"]["ok"]  # ideal floor is 1.0
+
+
+class TestFleetChecks:
+    def metrics(self, **over):
+        base = {
+            "rates": [0.0, 0.33],
+            "pairwise_agreement": 0.99,
+            "unanimity": 0.9,
+            "crash_transparent": True,
+            "kills": 3,
+            "availability": 1.0,
+            "samples_per_pipeline": 100.0,
+            "probe_budget": 200,
+        }
+        base.update(over)
+        return base
+
+    def cell(self, **over):
+        return ScenarioCell(
+            **{"id": "c", "kind": "fleet", "executor": "process",
+               "rates": (0.0, 0.33), **over}
+        )
+
+    def test_all_green_on_a_healthy_fleet(self):
+        out = by_name(fleet_checks(self.cell(), self.metrics()))
+        assert all(c["ok"] for c in out.values())
+        assert set(out) == {
+            "lemma49_agreement", "crash_transparent", "crashes_fired",
+            "probe_budget", "availability",
+        }
+        # Lemma 4.9: agreement 0.99 vs 1 - epsilon = 0.9.
+        assert out["lemma49_agreement"]["threshold"] == 0.9
+
+    def test_agreement_below_one_minus_epsilon_fails(self):
+        # Split items alone do not fail a fleet: unanimity 0.5 with
+        # pairwise agreement above 1 - epsilon is the paper's promise.
+        ok = by_name(fleet_checks(self.cell(), self.metrics(unanimity=0.5)))
+        assert ok["lemma49_agreement"]["ok"]
+        low = by_name(
+            fleet_checks(self.cell(), self.metrics(pairwise_agreement=0.89))
+        )
+        assert not low["lemma49_agreement"]["ok"]
+
+    def test_a_crash_table_that_differs_fails(self):
+        out = by_name(
+            fleet_checks(self.cell(), self.metrics(crash_transparent=False))
+        )
+        assert not out["crash_transparent"]["ok"]
+
+    def test_a_positive_rate_with_no_kills_fails(self):
+        out = by_name(fleet_checks(self.cell(), self.metrics(kills=0)))
+        assert not out["crashes_fired"]["ok"]
+
+    def test_rate_zero_ladder_has_no_crash_rung(self):
+        cell = ScenarioCell(id="c", kind="fleet")
+        out = by_name(fleet_checks(cell, self.metrics(rates=[0.0], kills=0)))
+        assert "crashes_fired" not in out
+        assert all(c["ok"] for c in out.values())
+
+    def test_probe_budget_only_under_the_ideal_oracle(self):
+        faulty = self.cell(oracle="faulty", fault_rate=0.05)
+        out = by_name(
+            fleet_checks(faulty, self.metrics(samples_per_pipeline=500.0))
+        )
+        assert "probe_budget" not in out
+        assert not by_name(
+            fleet_checks(self.cell(), self.metrics(samples_per_pipeline=500.0))
+        )["probe_budget"]["ok"]
 
 
 class TestLoadChecks:

@@ -198,12 +198,12 @@ class TestTriggerPaths:
             EfficiencyDomain(bits=0)
 
     def test_experiment(self):
-        from repro.distributed.cluster import ClusterSimulation
+        from repro.analysis.calibration import calibrate
         from repro.knapsack.generators import generate
 
         inst = generate("uniform", 20, seed=0)
         with pytest.raises(ExperimentError):
-            ClusterSimulation(inst, 0.1, workers=0)
+            calibrate(inst, 0.1, runs=1)
 
     def test_probe_failure_and_friends(self):
         # The fault family's trigger paths live in tests/faults/ and
