@@ -212,6 +212,9 @@ class WeightedSampler:
         Optional prebuilt :class:`AliasTable` over ``instance.profits``
         (e.g. :meth:`AliasTable.from_arrays` over shared-memory columns),
         skipping the O(n) construction.  Must match the instance size.
+        Construction over a table is O(1) in n: the positive-total check
+        ran once, when the table was built (or the shared store
+        created), and is not repeated here.
     """
 
     def __init__(
@@ -223,15 +226,17 @@ class WeightedSampler:
     ) -> None:
         if budget is not None and budget < 0:
             raise OracleError(f"budget must be >= 0, got {budget}")
-        if float(np.sum(instance.profits)) <= 0:
-            raise OracleError("weighted sampling requires positive total profit")
-        if table is not None and table._n != instance.n:
+        if table is None:
+            if float(np.sum(instance.profits)) <= 0:
+                raise OracleError("weighted sampling requires positive total profit")
+            table = AliasTable(instance.profits)
+        elif table._n != instance.n:
             raise OracleError(
                 f"prebuilt alias table has {table._n} rows for an "
                 f"instance of size {instance.n}"
             )
         self._instance = instance
-        self._table = table if table is not None else AliasTable(instance.profits)
+        self._table = table
         self._budget = budget
         self._samples = 0
         self._blocks = 0

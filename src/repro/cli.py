@@ -750,16 +750,16 @@ def _trace_batch(args: argparse.Namespace) -> int:
         print("--batch must be >= 1", file=sys.stderr)
         return 2
     inst = generate(args.family, args.n, seed=args.seed)
-    service = KnapsackService(
-        inst, args.epsilon, seed=args.lca_seed, cache=False, executor=args.executor
-    )
     rng = np.random.default_rng(args.seed)
     indices = [int(i) for i in rng.integers(inst.n, size=args.batch)]
     tracer = obs_runtime.TRACER
     was_enabled = tracer.enabled
     tracer.enable()
     try:
-        with tracer.span("repro.trace") as root:
+        with KnapsackService(
+            inst, args.epsilon, seed=args.lca_seed, cache=False,
+            executor=args.executor,
+        ) as service, tracer.span("repro.trace") as root:
             report = service.answer_batch(
                 indices,
                 nonce=args.nonce,
@@ -871,33 +871,33 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve import KnapsackService
 
     inst = generate(args.family, args.n, seed=args.seed)
-    service = KnapsackService(
+    rng = np.random.default_rng(args.seed)
+    indices = [int(i) for i in rng.integers(inst.n, size=args.queries)]
+    rows = []
+    with KnapsackService(
         inst,
         args.epsilon,
         seed=args.lca_seed,
         executor=args.executor,
-    )
-    rng = np.random.default_rng(args.seed)
-    indices = [int(i) for i in rng.integers(inst.n, size=args.queries)]
-    rows = []
-    for b in range(args.batches):
-        report = service.answer_batch(
-            indices,
-            nonce=args.nonce,
-            workers=args.workers if args.workers > 1 else None,
-        )
-        rows.append(
-            [
-                b,
-                report.mode,
-                report.workers,
-                len(report.answers),
-                report.cache_hits,
-                report.pipelines_run,
-                report.samples_spent,
-                f"{report.queries_per_sec:,.0f}",
-            ]
-        )
+    ) as service:
+        for b in range(args.batches):
+            report = service.answer_batch(
+                indices,
+                nonce=args.nonce,
+                workers=args.workers if args.workers > 1 else None,
+            )
+            rows.append(
+                [
+                    b,
+                    report.mode,
+                    report.workers,
+                    len(report.answers),
+                    report.cache_hits,
+                    report.pipelines_run,
+                    report.samples_spent,
+                    f"{report.queries_per_sec:,.0f}",
+                ]
+            )
     print(
         f"serve: family={args.family} n={inst.n} eps={args.epsilon} "
         f"seed={args.lca_seed} nonce={args.nonce} "
@@ -1125,7 +1125,10 @@ def _cmd_flightrec(args: argparse.Namespace) -> int:
     if args.spill:
         obs_runtime.RECORDER.set_spill(args.spill)
     obs_runtime.RECORDER.clear()
-    service = KnapsackService(
+    rng = np.random.default_rng(args.seed)
+    indices = [int(i) for i in rng.integers(inst.n, size=args.queries)]
+    degraded = 0
+    with KnapsackService(
         inst,
         args.epsilon,
         seed=args.lca_seed,
@@ -1135,13 +1138,10 @@ def _cmd_flightrec(args: argparse.Namespace) -> int:
         retry_policy=RetryPolicy(max_retries=args.retries, seed=args.seed),
         strict=False,
         probe_audit=args.audit,
-    )
-    rng = np.random.default_rng(args.seed)
-    indices = [int(i) for i in rng.integers(inst.n, size=args.queries)]
-    degraded = 0
-    for b in range(args.batches):
-        report = service.answer_batch(indices, nonce=200_000 + b)
-        degraded += report.degraded
+    ) as service:
+        for b in range(args.batches):
+            report = service.answer_batch(indices, nonce=200_000 + b)
+            degraded += report.degraded
     doc = events_document(
         obs_runtime.RECORDER,
         family=args.family,
@@ -1333,11 +1333,8 @@ def _loadgen_listen(args: argparse.Namespace) -> int:
         params = LCAParameters.calibrated(
             args.epsilon, max_nrq=args.cap, max_m_large=args.cap
         )
-    service = KnapsackService(
-        inst, args.epsilon, seed=args.lca_seed, params=params, cache_capacity=8
-    )
 
-    async def run() -> None:
+    async def run(service) -> None:
         server = await serve_endpoint(
             service,
             host=args.host,
@@ -1358,10 +1355,13 @@ def _loadgen_listen(args: argparse.Namespace) -> int:
         async with server:
             await server.serve_forever()
 
-    try:
-        asyncio.run(run())
-    except KeyboardInterrupt:
-        print("\nendpoint stopped")
+    with KnapsackService(
+        inst, args.epsilon, seed=args.lca_seed, params=params, cache_capacity=8
+    ) as service:
+        try:
+            asyncio.run(run(service))
+        except KeyboardInterrupt:
+            print("\nendpoint stopped")
     return 0
 
 
@@ -1470,7 +1470,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
     if args.interval <= 0:
         print("--interval must be > 0", file=sys.stderr)
         return 2
-    spawned = None
+    spawned = service = None
     if args.connect:
         host, _, port = args.connect.rpartition(":")
         if not host or not port.isdigit():
@@ -1522,6 +1522,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
         spawned.start()
         if not ready.wait(timeout=30) or "addr" not in bound:
             print("spawned endpoint failed to start", file=sys.stderr)
+            service.close()
             return 1
         host, port = bound["addr"][0], int(bound["addr"][1])
         endpoint_label = f"{host}:{port} (spawned)"
@@ -1600,6 +1601,8 @@ def _cmd_top(args: argparse.Namespace) -> int:
         return 0
     finally:
         client.close()
+        if service is not None:
+            service.close()
 
 
 def _cmd_obs_diff(args: argparse.Namespace) -> int:

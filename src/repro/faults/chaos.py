@@ -91,16 +91,16 @@ def chaos_sweep(
 
     # Fault-free control (no plan at all), then the rate-0 transparency
     # check: a null-plan service must be bit-identical to the control.
-    control = KnapsackService(
+    with KnapsackService(
         instance, epsilon, seed=lca_seed, params=params, cache=False
-    )
-    control_answers, _ = serve_all(control)
-    null_svc = KnapsackService(
+    ) as control:
+        control_answers, _ = serve_all(control)
+    with KnapsackService(
         instance, epsilon, seed=lca_seed, params=params, cache=False,
         fault_plan=FaultPlan(seed=int(chaos_seed)), retry_policy=retry, strict=False,
         probe_audit=audit,
-    )
-    null_answers, _ = serve_all(null_svc)
+    ) as null_svc:
+        null_answers, _ = serve_all(null_svc)
     fault_free_equivalence = _answers_key(control_answers) == _answers_key(null_answers)
 
     rows = []
@@ -111,12 +111,12 @@ def chaos_sweep(
             corruption_rate=float(corruption_rate),
             latency_spike_rate=float(latency_spike_rate),
         )
-        service = KnapsackService(
+        with KnapsackService(
             instance, epsilon, seed=lca_seed, params=params, cache=False,
             fault_plan=plan, retry_policy=retry, strict=False,
             probe_audit=audit,
-        )
-        answers, aborts = serve_all(service)
+        ) as service:
+            answers, aborts = serve_all(service)
         degraded = sum(1 for a in answers if getattr(a, "degraded", False))
         total = len(answers)
         availability = 1.0 - (degraded / total) if total else 0.0

@@ -551,12 +551,14 @@ def _finalize_owner(name: str, backend: str, path: str | None) -> None:
 def attach_cached(handle: SharedInstanceHandle) -> SharedInstanceStore:
     """Attach with a per-process cache keyed on ``(name, digest)``.
 
-    Pool workers serve many chunks of the same batch; re-mapping (and
-    re-verifying) the segment per chunk would waste syscalls.  The first
-    call attaches and verifies; subsequent calls bump a refcount and
-    record an ``shm.attach_hits`` counter.  Pair with
+    A service's pool workers live as long as the service and serve many
+    chunks across many batches; re-mapping (and re-verifying) the
+    segment per chunk would waste syscalls.  The first call in a worker
+    attaches and verifies; every later call, in any batch, bumps a
+    refcount and records an ``shm.attach_hits`` counter.  Pair with
     :func:`detach_cached`, or let process exit reclaim the mappings
-    (workers never own segments, so nothing can leak system-wide).
+    (workers never own segments, so nothing can leak system-wide; the
+    service joins its workers on ``close()``).
     """
     key = (handle.name, handle.digest)
     entry = _ATTACH_CACHE.get(key)

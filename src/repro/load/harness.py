@@ -213,8 +213,8 @@ class LoadHarness:
         previous_timeline = None
         if self._timeline:
             # One fresh ring per rate: each row carries its own
-            # trajectory.  Activated globally for the run so forked
-            # service shards inherit it and ship local ticks home.
+            # trajectory.  Activated globally for the run so process
+            # shards receive its config and ship local ticks home.
             sampler = TimelineSampler(
                 clock=self._clock,
                 tick_s=self._timeline_tick_s,

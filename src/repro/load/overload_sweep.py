@@ -120,9 +120,6 @@ def run_overload_sweep(cfg: dict) -> tuple[list[dict], dict, dict]:
         params = LCAParameters.calibrated(
             float(cfg["epsilon"]), max_nrq=int(cfg["cap"]), max_m_large=int(cfg["cap"])
         )
-    service = KnapsackService(
-        inst, float(cfg["epsilon"]), seed=int(cfg["lca_seed"]), params=params
-    )
     model = ServiceModel(
         base_s=float(cfg["base_s"]),
         per_query_s=float(cfg["per_query_s"]),
@@ -149,14 +146,6 @@ def run_overload_sweep(cfg: dict) -> tuple[list[dict], dict, dict]:
     nonce = int(cfg["nonce"])
     rates = [float(r) for r in cfg["rates"]]
 
-    # Phase 1 — calibrate: plain rows locate the knee.
-    base_rows, knee = harness().sweep(rates, queries, nonce=nonce)
-    for row in base_rows:
-        row["mode"] = "overload-base"
-    knee_rate = float(knee.get("knee_rate") or max(rates))
-    overload_rate = round(knee_rate * float(cfg["overload_factor"]), 6)
-
-    # Phase 2 — compare: governed runs at and past the knee.
     deadline = float(cfg["deadline_s"])
     brownout = BrownoutConfig(
         high_fraction=float(cfg["high_fraction"]),
@@ -164,17 +153,28 @@ def run_overload_sweep(cfg: dict) -> tuple[list[dict], dict, dict]:
         wait_target_s=float(cfg["wait_target_s"]),
         patience=int(cfg["patience"]),
     )
-    off = harness(deadline_s=deadline)
-    on = harness(deadline_s=deadline, brownout=brownout)
     compare_rows: list[dict] = []
     at_overload: dict[str, dict] = {}
-    for rate in (knee_rate, overload_rate):
-        for mode, h in (("overload-off", off), ("overload-on", on)):
-            row = _goodput(h.run_rate(rate, queries, nonce=nonce))
-            row["mode"] = mode
-            compare_rows.append(row)
-            if rate == overload_rate:
-                at_overload[mode] = row
+    with KnapsackService(
+        inst, float(cfg["epsilon"]), seed=int(cfg["lca_seed"]), params=params
+    ) as service:
+        # Phase 1 — calibrate: plain rows locate the knee.
+        base_rows, knee = harness().sweep(rates, queries, nonce=nonce)
+        for row in base_rows:
+            row["mode"] = "overload-base"
+        knee_rate = float(knee.get("knee_rate") or max(rates))
+        overload_rate = round(knee_rate * float(cfg["overload_factor"]), 6)
+
+        # Phase 2 — compare: governed runs at and past the knee.
+        off = harness(deadline_s=deadline)
+        on = harness(deadline_s=deadline, brownout=brownout)
+        for rate in (knee_rate, overload_rate):
+            for mode, h in (("overload-off", off), ("overload-on", on)):
+                row = _goodput(h.run_rate(rate, queries, nonce=nonce))
+                row["mode"] = mode
+                compare_rows.append(row)
+                if rate == overload_rate:
+                    at_overload[mode] = row
     rows = base_rows + compare_rows
     for row in rows:
         row["n"] = inst.n

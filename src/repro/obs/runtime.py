@@ -30,6 +30,7 @@ __all__ = [
     "TIMELINE",
     "activate_timeline",
     "deactivate_timeline",
+    "timeline_config",
     "timeline_state",
     "span",
     "record_oracle_queries",
@@ -57,11 +58,10 @@ TRACER = Tracer()
 RECORDER = FlightRecorder()
 
 #: The process-global timeline sampler (``None`` unless activated).
-#: Forked shard workers inherit the activated sampler through this
-#: module global — that inheritance *is* the capture opt-in signal —
-#: and swap in a ``fresh()`` copy during :func:`reset_worker_runtime`
-#: so shard-local ticks never alias the parent's ring.  Spawn-based
-#: pools start with ``None`` and simply don't capture.
+#: Process shards never rely on what a worker inherited: the parent
+#: ships :func:`timeline_config` with every chunk and the worker builds
+#: a fresh sampler from it (or none) in :func:`reset_worker_runtime`,
+#: so a long-lived worker follows timelines activated after it forked.
 TIMELINE: TimelineSampler | None = None
 
 
@@ -78,6 +78,12 @@ def activate_timeline(sampler: TimelineSampler | None) -> TimelineSampler | None
 def deactivate_timeline() -> None:
     """Clear the process-global timeline sampler."""
     activate_timeline(None)
+
+
+def timeline_config() -> dict | None:
+    """Picklable config of the active timeline (``None`` when off): what
+    a process shard needs to capture on the same clock and grid."""
+    return None if TIMELINE is None else TIMELINE.config()
 
 
 def timeline_state() -> dict | None:
@@ -212,24 +218,26 @@ def record_event(kind: str, **attrs) -> None:
     RECORDER.record(kind, trace_id=trace_id, span_id=span_id, **attrs)
 
 
-def reset_worker_runtime() -> None:
-    """Reinitialize the global runtime inside a forked worker.
+def reset_worker_runtime(timeline: dict | None = None) -> None:
+    """Reinitialize the global runtime for one process-shard chunk.
 
-    Fork copies the parent's counter values, open span stack, and
-    recorded events into the child; a shard worker must start from zero
-    or its shipped-home state would double-count the parent's.  Resets
-    the registry *in place* (module-level cached counter objects keep
-    their identity), gives the tracer fresh thread-local state and
-    locks, clears the recorder, and — when the parent had a timeline
-    active — replaces the inherited sampler with an empty ``fresh()``
-    copy so shard-local capture starts from zero.
+    A forked worker starts with the parent's counter values, open span
+    stack and recorded events, and a long-lived worker still holds the
+    previous chunk's; a shard must start from zero or its shipped-home
+    state would double-count.  Resets the registry *in place*
+    (module-level cached counter objects keep their identity), gives the
+    tracer fresh, disabled thread-local state and locks, clears the
+    recorder, and installs an empty sampler built from ``timeline`` (a
+    :func:`timeline_config` shipped by the parent) — or none when the
+    parent has no timeline active.
     """
     global TIMELINE
     REGISTRY.reset()
     TRACER.reset_worker()
     RECORDER.clear()
-    if TIMELINE is not None:
-        TIMELINE = TIMELINE.fresh()
+    TIMELINE = (
+        None if timeline is None else TimelineSampler(**timeline, registry=REGISTRY)
+    )
 
 
 def snapshot() -> dict:

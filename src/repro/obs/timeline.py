@@ -28,9 +28,10 @@ Two clock regimes, same discipline as ``bench-load/v1``:
   load harness's asyncio sampler, the NDJSON endpoint's background
   task, ``repro top``'s poll loop).
 
-**Shard-local capture.**  A forked worker inherits the parent's active
-sampler; :func:`~repro.obs.runtime.reset_worker_runtime` swaps in a
-:meth:`fresh` one, the worker captures locally from zero, and the
+**Shard-local capture.**  Every process-shard chunk carries the
+parent's active sampler :meth:`config`;
+:func:`~repro.obs.runtime.reset_worker_runtime` builds an empty sampler
+from it, the worker captures locally from zero, and the
 parent folds the shipped :meth:`state` back with :meth:`merge_state` —
 winners only, through the same ``obs_state`` path that merges the
 registry and trace (losing shard attempts are dropped, exactly like
@@ -143,19 +144,15 @@ class TimelineSampler:
         """Ticks evicted because the ring was full."""
         return self._dropped
 
-    def fresh(self) -> "TimelineSampler":
-        """An empty sampler with this one's configuration.
+    def config(self) -> dict:
+        """Picklable construction arguments, registry aside: process
+        shards rebuild an empty sampler on the same clock and grid from
+        it (see :func:`~repro.obs.runtime.reset_worker_runtime`)."""
+        return {"clock": self.clock, "tick_s": self.tick_s, "capacity": self.capacity}
 
-        Used by ``reset_worker_runtime``: a forked shard inherits the
-        parent's sampler object and must replace it with a zeroed one
-        (same clock, same grid) before capturing its own local ticks.
-        """
-        return TimelineSampler(
-            clock=self.clock,
-            tick_s=self.tick_s,
-            capacity=self.capacity,
-            registry=self._registry,
-        )
+    def fresh(self) -> "TimelineSampler":
+        """An empty sampler with this one's configuration and registry."""
+        return TimelineSampler(**self.config(), registry=self._registry)
 
     # ------------------------------------------------------------------
     def tick(

@@ -88,34 +88,35 @@ def serve_throughput_rows(
 
     # Regime 2: batched, uncached — every batch re-runs the pipeline
     # even though the nonce is pinned (there is no cache to notice).
-    svc_u = KnapsackService(instance, epsilon, seed, cache=False)
-    t0 = time.perf_counter()
-    for b in batches:
-        svc_u.answer_batch(b, nonce=3_000)
+    with KnapsackService(instance, epsilon, seed, cache=False) as svc_u:
+        t0 = time.perf_counter()
+        for b in batches:
+            svc_u.answer_batch(b, nonce=3_000)
+        wall = time.perf_counter() - t0
     rows.append(
-        _row("serial_uncached", queries, len(batches),
-             svc_u.samples_used, time.perf_counter() - t0)
+        _row("serial_uncached", queries, len(batches), svc_u.samples_used, wall)
     )
 
     # Regime 3: identical workload, cache enabled — one miss, then hits.
-    svc_c = KnapsackService(instance, epsilon, seed, cache_capacity=8)
-    t0 = time.perf_counter()
-    hits = 0
-    for b in batches:
-        hits += svc_c.answer_batch(b, nonce=3_000).cache_hits
+    with KnapsackService(instance, epsilon, seed, cache_capacity=8) as svc_c:
+        t0 = time.perf_counter()
+        hits = 0
+        for b in batches:
+            hits += svc_c.answer_batch(b, nonce=3_000).cache_hits
+        wall = time.perf_counter() - t0
     rows.append(
-        _row("serial_cached", queries, len(batches) - hits,
-             svc_c.samples_used, time.perf_counter() - t0)
+        _row("serial_cached", queries, len(batches) - hits, svc_c.samples_used, wall)
     )
     rows[-1]["cache_hits"] = hits
 
     # Regime 4: one big batch sharded across a thread pool.
-    svc_p = KnapsackService(instance, epsilon, seed, cache=False)
-    t0 = time.perf_counter()
-    report = svc_p.answer_batch(idx, nonce=5_000, workers=workers)
+    with KnapsackService(instance, epsilon, seed, cache=False) as svc_p:
+        t0 = time.perf_counter()
+        report = svc_p.answer_batch(idx, nonce=5_000, workers=workers)
+        wall = time.perf_counter() - t0
     rows.append(
         _row(f"parallel_x{report.workers}", queries, report.pipelines_run,
-             report.samples_spent, time.perf_counter() - t0)
+             report.samples_spent, wall)
     )
 
     for row in rows:
@@ -300,7 +301,8 @@ def shm_scale_rows(
         return round(kb / 1024.0, 2) if kb is not None else None
 
     def serve_row(mode, inst, n, shared):
-        svc = KnapsackService(
+        idx = [i % inst.n for i in range(queries)]
+        with KnapsackService(
             inst,
             epsilon,
             seed,
@@ -308,14 +310,12 @@ def shm_scale_rows(
             cache=False,
             executor="process",
             shared_instance=shared,
-        )
-        idx = [i % inst.n for i in range(queries)]
-        t0 = time.perf_counter()
-        report = svc.answer_batch(idx, nonce=9_000, workers=workers)
-        wall = time.perf_counter() - t0
+        ) as svc:
+            t0 = time.perf_counter()
+            report = svc.answer_batch(idx, nonce=9_000, workers=workers)
+            wall = time.perf_counter() - t0
         memories = svc.worker_memory
         setups = svc.worker_setup_s
-        svc.close()
         row = _row(mode, queries, report.pipelines_run, report.samples_spent, wall)
         row.update(
             n=int(n),

@@ -40,15 +40,16 @@ cache does not constitute forbidden cross-run state.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from concurrent.futures import (
     FIRST_COMPLETED,
+    BrokenExecutor,
     Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
     wait,
 )
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -159,22 +160,28 @@ def _layer(access, kind):
 
 
 def _serve_chunk(payload) -> tuple:
-    """Process-pool entry: answer one shard in a fresh interpreter.
+    """Process-pool entry: answer one shard in a long-lived pool worker.
 
-    Rebuilds the access objects from the pickled instance (the child
-    shares no state with the parent — the strongest possible form of the
-    fleet's independence claim), applies the shard's fault/retry wiring,
-    and returns the slim answers plus the shard's full bill:
+    Rebuilds the access objects from the payload (a worker keeps no
+    serving state between chunks: no pipeline, sampler or breaker
+    outlives the chunk that built it), applies the shard's fault/retry
+    wiring, and returns the slim answers plus the shard's full bill:
     ``(answers, samples, queries, blocks, degraded, probe_retries, obs)``
-    where ``obs`` carries the worker's full observability state — its
+    where ``obs`` carries the chunk's full observability state — its
     registry (mergeable histogram buckets, not quantile summaries), its
     finished ``serve.shard`` span tree (when the parent propagated a
-    trace context), and its flight-recorder events — so the parent can
-    fold the shard's telemetry in exactly, not just its cost totals.
+    trace context), its flight-recorder events and its timeline ticks —
+    so the parent can fold the shard's telemetry in exactly, not just
+    its cost totals.
 
-    The worker resets the global runtime first: under ``fork`` the child
-    inherits the parent's counter values, open span stack, and recorded
-    events, all of which would double-count if shipped home.
+    The worker resets the global runtime first: a forked worker inherits
+    the parent's counter values, open span stack and recorded events,
+    and a worker that served earlier chunks still holds theirs; either
+    would double-count if shipped home.  Which telemetry the chunk
+    records is decided by the payload, never by what the worker
+    inherited at fork time: the tracer is on exactly when a trace
+    context arrives, and a timeline sampler is built from the shipped
+    config exactly when the parent has one active.
 
     Under a plan with ``shard_kill_rate`` the child may deterministically
     kill itself *before* doing any work (``os._exit`` => the parent sees
@@ -182,20 +189,20 @@ def _serve_chunk(payload) -> tuple:
     is how the requeue/hedge path is exercised end to end.
 
     The payload is ``(instance, spec, nonce, indices, attempt, strict,
-    trace_ctx)``; ``spec`` is the service's :class:`_StackSpec`, so the
-    child's stack is built by the same :func:`_access_stack` as the
-    parent's.  Slot 0 is either the pickled instance (legacy path:
+    trace_ctx, timeline)``; ``spec`` is the service's :class:`_StackSpec`,
+    so the child's stack is built by the same :func:`_access_stack` as
+    the parent's.  Slot 0 is either the pickled instance (legacy path:
     O(n) per shard) or a :class:`SharedInstanceHandle` (shared-memory
-    path: the worker attaches zero-copy views and re-wraps the
-    segment's prebuilt alias table — O(1) per shard in n).  The attach
-    — including its digest verification, which happens *before* any
-    access object exists, so no query is ever billed against a wrong
-    segment — runs before ``reset_worker_runtime`` so the worker's
-    shipped-home registry is identical between the two paths; the
-    parent-facing setup/memory measurements travel in dedicated
-    ``obs_state`` keys instead.
+    path: the worker attaches zero-copy views once, through the
+    per-process attach cache, and re-wraps the segment's prebuilt alias
+    table — O(1) per shard in n).  The attach — including its digest
+    verification, which happens *before* any access object exists, so no
+    query is ever billed against a wrong segment — runs before
+    ``reset_worker_runtime`` so the worker's shipped-home registry is
+    identical between the two paths; the parent-facing setup/memory
+    measurements travel in dedicated ``obs_state`` keys instead.
     """
-    instance, spec, nonce, indices, attempt, strict, trace_ctx = payload
+    instance, spec, nonce, indices, attempt, strict, trace_ctx, timeline = payload
     plan = spec.plan
     if plan is not None and plan.shard_kill(nonce, attempt):
         os._exit(17)
@@ -210,7 +217,7 @@ def _serve_chunk(payload) -> tuple:
     if isinstance(instance, SharedInstanceHandle):
         shared_store = attach_cached(instance)
         instance = shared_store.instance
-    _obs.reset_worker_runtime()
+    _obs.reset_worker_runtime(timeline)
     if trace_ctx is not None:
         _obs.TRACER.enable()
         _obs.TRACER.adopt(*trace_ctx)
@@ -257,8 +264,8 @@ def _serve_chunk(payload) -> tuple:
         "trace": span_to_payload(root) if root is not None else None,
         "events": [e.to_dict() for e in _obs.RECORDER.events()],
         "dropped_events": _obs.RECORDER.dropped,
-        # Shard-local timeline ticks (None unless the parent had an
-        # active sampler at fork time — spawn pools never capture).
+        # Shard-local timeline ticks (None unless the payload shipped
+        # the parent's active sampler config).
         "timeline": _obs.timeline_state(),
         # Parent-facing scale telemetry (not part of the merged registry,
         # so thread-vs-process registry parity is unaffected).
@@ -422,7 +429,11 @@ class KnapsackService:
         run.  Thread shards share the parent's cache; process shards
         cannot (results stay in the child), but exercise true
         zero-shared-state execution and rely on answers being cheap to
-        pickle.
+        pickle.  Either way the shards run on one long-lived pool per
+        service (plus a hedge mirror), built on the first sharded batch
+        and shut down by :meth:`close`; a service that has served a
+        sharded batch holds live workers until it is closed (or used as
+        a context manager).
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan`; wraps every access
         object (the service's own and each shard's) in deterministic
@@ -476,14 +487,16 @@ class KnapsackService:
         :class:`~repro.knapsack.shm.SharedInstanceHandle` instead of the
         pickled instance and attach zero-copy views of one shared
         segment (columns plus a prebuilt alias table), making per-shard
-        setup independent of n.  ``True`` creates the segment lazily on
-        the first process batch, copying in the service's own alias
-        table rather than building a second one; pass an existing
+        setup independent of n.  ``True`` creates the segment at
+        construction (process executor only: thread shards share the
+        parent's memory and never need one), copying in the service's
+        own alias table rather than building a second one; pass an
+        existing
         :class:`~repro.knapsack.shm.SharedInstanceStore` to share one
         segment between services (the caller keeps unlink ownership).
         Answers, probe bills and per-phase obs totals are bit-identical
         to the pickled path.  Call :meth:`close` (or use the service as
-        a context manager) to unlink a lazily-created segment.
+        a context manager) to unlink the service's own segment.
     breaker:
         Optional :class:`~repro.serve.overload.BreakerConfig` (or
         ``True`` for defaults): wraps every access stack — the service's
@@ -500,9 +513,10 @@ class KnapsackService:
         shard futures.  A shard that neither finishes nor dies within
         the deadline is abandoned as a
         :class:`~repro.errors.WatchdogTimeoutError` and requeued through
-        the existing worker-death path; the wedged pool is torn down
-        without waiting so its shared-memory attachments release (the
-        parent keeps unlink ownership — no segment leaks).
+        the existing worker-death path; the wedged pool's workers are
+        terminated and the pool replaced, so their shared-memory
+        attachments release (the parent keeps unlink ownership — no
+        segment leaks).
     """
 
     def __init__(
@@ -561,6 +575,12 @@ class KnapsackService:
             self._owns_store = True
         self._worker_setup_s: list[float] = []
         self._worker_memory: list[dict] = []
+        # kind ("thread", "process" or the "hedge" mirror) -> (pool, size):
+        # one long-lived pool per kind, built on first use, grown to the
+        # largest shard count seen, replaced only when it breaks.  The
+        # lock lets concurrent callers share one pool (and one segment).
+        self._pools: dict[str, tuple] = {}
+        self._lock = threading.Lock()
         self._executor_kind = executor
         self._max_workers = max_workers or min(8, os.cpu_count() or 1)
         self._strict = bool(strict)
@@ -605,6 +625,8 @@ class KnapsackService:
         )
         # Shards reuse the resolved parameters instead of re-calibrating.
         self._spec = replace(spec, params=self._lca.params)
+        if self._shared and executor == "process":
+            self._ensure_store()
         self._faulty_sampler = _layer(self._sampler, FaultySampler)
         self._faulty_oracle = _layer(self._oracle, FaultyOracle)
         if cache is False:
@@ -1120,8 +1142,8 @@ class KnapsackService:
                 shard_span,
             )
 
-        with ThreadPoolExecutor(max_workers=w) as pool:
-            results = list(pool.map(serve_shard, shards, nonces, range(w)))
+        pool = self._pool("thread", w)
+        results = list(pool.map(serve_shard, shards, nonces, range(w)))
         parent = _obs.TRACER.current()
         if parent is not None:
             for r in results:  # slot order => deterministic child order
@@ -1141,26 +1163,71 @@ class KnapsackService:
             probe_retries=sum(r[6] for r in results),
         )
 
-    def _ensure_store(self) -> SharedInstanceStore:
-        """Lazily lay the instance into shared memory (first process batch)."""
-        if self._store is None or self._store.closed:
-            self._store = SharedInstanceStore.create(self._instance, table=self._table)
-            self._owns_store = True
-        return self._store
+    # ------------------------------------------------------------------
+    # Worker pools
+    # ------------------------------------------------------------------
+    def _pool(self, kind: str, w: int):
+        """The service's live ``kind`` pool, with room for ``w`` shards.
 
-    def _chunk_payload(self, shard, shard_nonce, attempt, strict, slot):
+        ``kind`` is ``"thread"``, ``"process"`` or ``"hedge"`` (the
+        process pool's independent mirror).  The pool is built on first
+        use and lives until :meth:`close`; concurrent callers share it.
+        A broken pool is retired by the round that saw it break
+        (:meth:`_settle_round`); here a pool is only replaced when it is
+        too small — it grows to the largest ``w`` seen, and the outgrown
+        pool drains its in-flight work before it shuts down.
+        """
+        with self._lock:
+            pool, size = self._pools.get(kind, (None, 0))
+            if pool is not None and size >= w:
+                return pool
+            factory = ThreadPoolExecutor if kind == "thread" else ProcessPoolExecutor
+            size = max(size, w)
+            fresh = factory(max_workers=size)
+            self._pools[kind] = (fresh, size)
+        if pool is not None:
+            pool.shutdown(wait=True)
+        return fresh
+
+    def _drop_pool(self, kind: str, pool, *, terminate: bool = False) -> None:
+        """Retire a broken or wedged ``pool``; the next round builds a
+        fresh one.  ``terminate`` is the watchdog's escalation: a wedged
+        worker would make ``shutdown(wait=True)`` hang for the stall's
+        full duration, so cancel what never started and terminate what
+        wedged instead of joining it."""
+        with self._lock:
+            if self._pools.get(kind, (None, 0))[0] is pool:
+                del self._pools[kind]
+        if not terminate:
+            pool.shutdown(wait=True)
+            return
+        procs = list((getattr(pool, "_processes", None) or {}).values())
+        pool.shutdown(wait=False, cancel_futures=True)
+        for proc in procs:
+            proc.terminate()
+        for proc in procs:
+            proc.join(5.0)
+
+    def _ensure_store(self) -> SharedInstanceStore:
+        """The shared segment: created at construction, and re-created
+        lazily by the first process batch after :meth:`close`."""
+        with self._lock:
+            if self._store is None or self._store.closed:
+                self._store = SharedInstanceStore.create(
+                    self._instance, table=self._table
+                )
+                self._owns_store = True
+            return self._store
+
+    def _chunk_payload(self, instance, shard, shard_nonce, attempt, strict, slot):
         # Trace context crosses the process boundary as plain ids: the
         # child adopts (trace_id, "<batch-span>.s<slot>") so its subtree
         # slots into the parent tree at a deterministic position.
         trace_id, span_id = _obs.TRACER.current_ids()
         trace_ctx = None if trace_id is None else (trace_id, f"{span_id}.s{slot}")
-        # Shared mode ships the O(1) handle; workers attach zero-copy.
-        payload_instance = (
-            self._ensure_store().handle if self._shared else self._instance
-        )
         return (
-            payload_instance, self._spec, shard_nonce, shard, attempt, strict,
-            trace_ctx,
+            instance, self._spec, shard_nonce, shard, attempt, strict,
+            trace_ctx, _obs.timeline_config(),
         )
 
     def _merge_worker_obs(self, obs: dict | None, *, abandoned: bool = False) -> None:
@@ -1218,24 +1285,55 @@ class KnapsackService:
             res[6] if len(res) > 6 else None, abandoned=True
         )
 
-    def _run_process(self, shards, nonces, w, strict) -> _ShardTotals:
-        """Submit shards to a process pool with requeue-on-death.
+    def _settle_round(self, pools, futures: dict, *, escalate: bool) -> None:
+        """End one process round without shutting down a healthy pool.
 
-        A dead worker breaks its whole pool, so each requeue round runs
-        in a fresh pool; the failed shard is resubmitted with an
-        incremented attempt index (its fault coins are attempt-keyed, so
-        a requeue is a genuinely new roll, not a replay of its killer).
-        Hedged mode mirrors every submission into a second, independent
+        Attempts that never started are cancelled and the rest awaited,
+        so every future of the round is settled when this returns (what
+        ``merge_losers`` harvests).  A pool with a dead worker is retired;
+        ``escalate`` (the watchdog fired) terminates and retires every
+        pool of the round instead of waiting on a wedged worker.
+        """
+        if escalate:
+            for kind, pool in pools:
+                self._drop_pool(kind, pool, terminate=True)
+            return
+        subs = [fut for attempts in futures.values() for fut in attempts]
+        for fut in subs:
+            fut.cancel()
+        pending = [fut for fut in subs if not fut.done()]
+        if pending:
+            wait(pending)
+        broken = {
+            i
+            for attempts in futures.values()
+            for i, fut in enumerate(attempts)  # attempt i went to pools[i]
+            if not fut.cancelled() and isinstance(fut.exception(), BrokenExecutor)
+        }
+        for i in sorted(broken):
+            self._drop_pool(*pools[i])
+
+    def _run_process(self, shards, nonces, w, strict) -> _ShardTotals:
+        """Submit shards to the service's process pool with requeue-on-death.
+
+        Each round submits to the long-lived pool (:meth:`_pool`) and
+        then waits for its own futures to settle; it never shuts the
+        pool down.  A dead worker breaks its whole pool, so a round that
+        saw one retires that pool and the requeue round runs in its
+        replacement; the failed shard is resubmitted with an incremented
+        attempt index (its fault coins are attempt-keyed, so a requeue is
+        a genuinely new roll, not a replay of its killer).  Hedged mode
+        mirrors every submission into a second, independent long-lived
         pool — first result wins, primaries break ties.
 
         Under ``shard_deadline_s`` a stuck-shard watchdog bounds each
         shard's wait: an attempt that neither finishes nor dies in time
         is abandoned (``WatchdogTimeoutError``) and rides the same
         requeue path as a dead worker.  A round that fired the watchdog
-        tears its pools down without waiting — the wedged worker is
-        terminated, not joined — so a stall can never hold the batch
-        hostage, and the parent (which owns any shared-memory segment)
-        still unlinks on close: no segment leaks.
+        escalates on its pools — the wedged worker is terminated, not
+        joined, and the pool replaced — so a stall can never hold the
+        batch hostage, and the parent (which owns any shared-memory
+        segment) still unlinks on close: no segment leaks.
         """
         n_shards = len(shards)
         results: dict[int, tuple | None] = {}
@@ -1244,27 +1342,30 @@ class KnapsackService:
         last_error: dict[int, Exception] = {}
         shard_retries = 0
         hedges = 0
+        # Shared mode ships the O(1) handle; workers attach zero-copy.
+        instance = self._ensure_store().handle if self._shared else self._instance
+        kinds = ("process", "hedge") if self._hedge else ("process",)
         todo = list(range(n_shards))
         while todo:
             failed: list[int] = []
             watchdog_fired = False
-            pools = [ProcessPoolExecutor(max_workers=w)]
-            if self._hedge:
-                pools.append(ProcessPoolExecutor(max_workers=w))
+            pools = [(kind, self._pool(kind, w)) for kind in kinds]
+            futures: dict[int, list] = {}
+            winners: dict[int, object] = {}
             try:
-                futures: dict[int, list] = {}
                 for k in todo:
                     subs = []
-                    for pool in pools:
+                    for _kind, pool in pools:
                         payload = self._chunk_payload(
-                            shards[k], nonces[k], submissions[k], strict, k
+                            instance, shards[k], nonces[k], submissions[k], strict, k
                         )
                         try:
                             fut = pool.submit(_serve_chunk, payload)
-                        except BrokenProcessPool as exc:
-                            # A worker of this round died before this
-                            # submit, so the pool takes no more work:
-                            # the shard fails like one whose worker died.
+                        except RuntimeError as exc:
+                            # The pool broke before this submit (a worker
+                            # died) or another caller's watchdog retired
+                            # it: it takes no more work, so the shard
+                            # fails like one whose worker died.
                             fut = Future()
                             fut.set_exception(exc)
                         subs.append(fut)
@@ -1274,7 +1375,6 @@ class KnapsackService:
                         _obs.record_hedges(1)
                         _obs.record_event("shard.hedge", shard=k, nonce=nonces[k])
                     futures[k] = subs
-                winners: dict[int, object] = {}
                 for k in todo:
                     res, winner, err = _first_result(
                         futures[k], timeout_s=self._shard_deadline_s, shard=k
@@ -1298,27 +1398,12 @@ class KnapsackService:
                         last_error[k] = err
                         failed.append(k)
             finally:
-                if watchdog_fired:
-                    # A wedged worker would make shutdown(wait=True) hang
-                    # for the stall's full duration; escalate instead —
-                    # cancel what never started, terminate what wedged.
-                    for pool in pools:
-                        procs = list(
-                            (getattr(pool, "_processes", None) or {}).values()
-                        )
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        for proc in procs:
-                            proc.terminate()
-                        for proc in procs:
-                            proc.join(5.0)
-                else:
-                    for pool in pools:
-                        pool.shutdown(wait=True, cancel_futures=True)
+                self._settle_round(pools, futures, escalate=watchdog_fired)
             if self._merge_losers:
-                # Post-shutdown the round's futures are settled: losing
-                # attempts that ran to completion (hedge runners-up, or
-                # late finishers the winner beat) are harvestable;
-                # cancelled-before-start ones are not — nothing ran.
+                # The round's futures are settled: losing attempts that
+                # ran to completion (hedge runners-up, or late finishers
+                # the winner beat) are harvestable; cancelled-before-start
+                # ones are not — nothing ran.
                 for k, subs in futures.items():
                     for fut in subs:
                         if fut is winners.get(k) or fut.cancelled():
@@ -1417,8 +1502,11 @@ class KnapsackService:
     def worker_setup_s(self) -> list[float]:
         """Per-winning-shard access-setup seconds, most recent process batch.
 
-        Covers segment attach (shared mode) or sampler construction
-        (pickled mode) — the per-shard cost the shared tier makes O(1)."""
+        Covers segment attach and sampler wrap (shared mode) or sampler
+        construction over the unpickled instance (pickled mode) — the
+        per-shard cost the shared tier makes O(1).  A pool worker maps
+        the segment on its first chunk only; later chunks hit its attach
+        cache and pay just the O(1) sampler wrap."""
         return list(self._worker_setup_s)
 
     @property
@@ -1450,13 +1538,19 @@ class KnapsackService:
         return out
 
     def close(self) -> None:
-        """Release the shared-memory segment, if this service owns one.
+        """Shut down the worker pools and release the shared-memory
+        segment, if this service owns one.
 
-        Idempotent; a no-op for non-shared services and for services
-        given a caller-owned :class:`SharedInstanceStore`.  The service
-        stays usable: its in-process alias table is untouched, and the
-        next process batch lazily creates a fresh segment from it.
+        Idempotent.  Every pool worker is joined, so no child process
+        outlives the call; a caller-owned :class:`SharedInstanceStore`
+        is left alone.  The service stays usable: its in-process alias
+        table is untouched, and the next sharded batch builds fresh pools
+        (and a process batch a fresh segment) lazily.
         """
+        with self._lock:
+            pools, self._pools = self._pools, {}
+        for pool, _size in pools.values():
+            pool.shutdown(wait=True, cancel_futures=True)
         if self._store is not None and self._owns_store:
             self._store.close()
         if self._owns_store:

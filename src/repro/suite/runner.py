@@ -287,23 +287,25 @@ class SuiteRunner:
 
         inst = self._instance(cell)
         params = self._params(cell)
-        service = self._service(cell, inst, params)
         opt, opt_exact = reference_optimum(inst)
         indices = list(range(inst.n))
         workers = None if cell.executor == "inline" else cell.workers
         values, degraded, answered, feasible, pipelines = [], 0, 0, True, 0
-        for r in range(cell.runs):
-            report = service.answer_batch(indices, nonce=1_000 + r, workers=workers)
-            chosen = [
-                a.index
-                for a in report.answers
-                if a.include and not getattr(a, "degraded", False)
-            ]
-            values.append(float(inst.profit_of(chosen)))
-            feasible &= bool(inst.weight_of(chosen) <= inst.capacity + 1e-9)
-            degraded += int(report.degraded)
-            answered += len(report.answers)
-            pipelines += int(report.pipelines_run)
+        with self._service(cell, inst, params) as service:
+            for r in range(cell.runs):
+                report = service.answer_batch(
+                    indices, nonce=1_000 + r, workers=workers
+                )
+                chosen = [
+                    a.index
+                    for a in report.answers
+                    if a.include and not getattr(a, "degraded", False)
+                ]
+                values.append(float(inst.profit_of(chosen)))
+                feasible &= bool(inst.weight_of(chosen) <= inst.capacity + 1e-9)
+                degraded += int(report.degraded)
+                answered += len(report.answers)
+                pipelines += int(report.pipelines_run)
         pipelines = max(1, pipelines)
         metrics = {
             "opt_ref": round(float(opt), 9),
@@ -340,17 +342,17 @@ class SuiteRunner:
         rates = sorted({0.0, *cell.rates})
         tables, answered, degraded, pipelines, samples = [], 0, 0, 0, 0
         for rate in rates:
-            service = self._service(cell, inst, params, kill_rate=rate)
             table = []
-            for order, nonce in zip(orders, nonces):
-                report = service.answer_batch(
-                    [probes[k] for k in order], nonce=nonce, workers=workers
-                )
-                include = {a.index: bool(a.include) for a in report.answers}
-                table.append([include[p] for p in probes])
-                answered += len(report.answers)
-                degraded += int(report.degraded)
-                pipelines += int(report.pipelines_run)
+            with self._service(cell, inst, params, kill_rate=rate) as service:
+                for order, nonce in zip(orders, nonces):
+                    report = service.answer_batch(
+                        [probes[k] for k in order], nonce=nonce, workers=workers
+                    )
+                    include = {a.index: bool(a.include) for a in report.answers}
+                    table.append([include[p] for p in probes])
+                    answered += len(report.answers)
+                    degraded += int(report.degraded)
+                    pipelines += int(report.pipelines_run)
             samples += service.samples_used
             tables.append(table)
         audit = audit_consistency(lambda r: tables[0][r], probes, runs=cell.runs)

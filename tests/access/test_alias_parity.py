@@ -113,3 +113,42 @@ def test_weighted_sampler_prebuilt_table_identical_stream():
     blk_b = reused.sample_block(500, np.random.default_rng(9))
     assert blk_a.indices.tobytes() == blk_b.indices.tobytes()
     assert fresh.samples_used == reused.samples_used == 500
+
+
+class _CountingInstance:
+    """An instance stand-in that counts reads of its ``profits`` column."""
+
+    def __init__(self, inst):
+        self._inst = inst
+        self.profit_reads = 0
+
+    @property
+    def profits(self):
+        self.profit_reads += 1
+        return self._inst.profits
+
+    def __getattr__(self, name):
+        return getattr(self._inst, name)
+
+
+def test_sampler_over_prebuilt_table_never_reads_profits():
+    inst = KnapsackInstance(np.arange(1.0, 101.0), np.ones(100), 50.0)
+    counting = _CountingInstance(inst)
+    WeightedSampler(counting, table=AliasTable(inst.profits))
+    assert counting.profit_reads == 0
+    WeightedSampler(counting)  # no table: the O(n) build reads the column
+    assert counting.profit_reads > 0
+
+
+def test_zero_total_profit_still_rejected():
+    from repro.knapsack.shm import SharedInstanceStore
+
+    inst = KnapsackInstance.from_arrays_view(np.zeros(4), np.full(4, 0.1), 1.0)
+    with pytest.raises(OracleError, match="positive total profit"):
+        WeightedSampler(inst)
+    # The table build and the store creation are where a prebuilt
+    # table's total is verified, so neither can exist for this instance.
+    with pytest.raises(OracleError):
+        AliasTable(inst.profits)
+    with pytest.raises(OracleError):
+        SharedInstanceStore.create(inst)

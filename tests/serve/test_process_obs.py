@@ -142,3 +142,59 @@ class TestProcessObsParity:
         assert len(report.answers) == len(INDICES)
         # Counters still merge even without a trace context.
         assert rt.REGISTRY.state()["counters"]["sampler.samples"] > 0
+
+
+def timeline_after(svc, *, warm: bool) -> dict:
+    """Merged timeline state of one batch served under a freshly
+    activated sampler; ``warm`` first serves a batch with none active,
+    so the service's pool workers fork before the timeline exists."""
+    from repro.obs.timeline import TimelineSampler
+
+    if warm:
+        svc.answer_batch(INDICES, nonce=NONCE + 1, workers=2)
+    sampler = TimelineSampler(clock="virtual", tick_s=0.1, registry=rt.REGISTRY)
+    previous = rt.activate_timeline(sampler)
+    try:
+        svc.answer_batch(INDICES, nonce=NONCE, workers=2)
+    finally:
+        rt.activate_timeline(previous)
+    return sampler.state()
+
+
+@pytest.mark.slow
+class TestTimelineConfigTravelsWithTheChunk:
+    """Long-lived pool workers follow the parent's *current* timeline,
+    not the one they inherited when they forked."""
+
+    def service(self, instance, params):
+        return KnapsackService(
+            instance, 0.1, seed=42, params=params, cache=False, executor="process"
+        )
+
+    def test_timeline_activated_after_first_batch_matches_fresh_service(
+        self, tiers_instance, fast_params
+    ):
+        with self.service(tiers_instance, fast_params) as fresh:
+            want = timeline_after(fresh, warm=False)
+        with self.service(tiers_instance, fast_params) as used:
+            got = timeline_after(used, warm=True)
+        assert want["ticks"]  # the shards shipped their ticks home
+        assert got == want
+
+    def test_deactivated_timeline_ships_no_ticks(
+        self, tiers_instance, fast_params, monkeypatch
+    ):
+        shipped = []
+        merge = KnapsackService._merge_worker_obs
+
+        def spy(self, obs, **kw):
+            shipped.append((obs or {}).get("timeline"))
+            return merge(self, obs, **kw)
+
+        monkeypatch.setattr(KnapsackService, "_merge_worker_obs", spy)
+        with self.service(tiers_instance, fast_params) as svc:
+            timeline_after(svc, warm=False)  # workers fork under a timeline
+            assert shipped and all(t is not None for t in shipped)
+            shipped.clear()
+            svc.answer_batch(INDICES, nonce=NONCE, workers=2)
+        assert shipped == [None, None]

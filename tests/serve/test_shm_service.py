@@ -2,15 +2,20 @@
 
 The tier's acceptance bar: process batches answer bit-identically
 whether shards received the pickled instance or a shared handle, the
-service's lazily-created segment is unlinked exactly once, and a
-worker killed mid-batch (fault-plan ``shard_kill``) leaks no segments
-— workers never own them, and the requeued round re-attaches.
+service's own segment (created with the service) is unlinked exactly
+once, and a worker killed mid-batch (fault-plan ``shard_kill``) leaks
+no segments — workers never own them, and the requeued round
+re-attaches.
 """
 
 import pytest
 
 from repro.errors import ReproError
-from repro.knapsack.shm import SharedInstanceStore, orphaned_system_segments
+from repro.knapsack.shm import (
+    SharedInstanceStore,
+    active_segments,
+    orphaned_system_segments,
+)
 from repro.obs import runtime as rt
 from repro.serve import KnapsackService
 
@@ -123,3 +128,31 @@ def test_close_is_idempotent(tiers_instance, fast_params):
     svc.close()
     svc.close()
     assert svc.shm_stats()["store"] is None
+
+
+@pytest.mark.slow
+def test_store_created_at_construction_and_recreated_after_close(
+    tiers_instance, fast_params
+):
+    created0 = _counter("shm.segments_created")
+    svc = KnapsackService(
+        tiers_instance, 0.1, seed=42, params=fast_params,
+        cache=False, executor="process", shared_instance=True,
+    )
+    # The segment exists before any batch: the first request pays no O(n) copy.
+    first = svc.shm_stats()["store"]
+    assert first is not None
+    assert first["name"] in active_segments()
+    assert _counter("shm.segments_created") - created0 == 1
+    svc.answer_batch(INDICES[:6], nonce=NONCE, workers=2)
+    assert _counter("shm.segments_created") - created0 == 1
+    svc.close()
+    assert svc.shm_stats()["store"] is None
+    assert first["name"] not in active_segments()
+    # Lazy re-creation: the next process batch lays out a fresh segment.
+    svc.answer_batch(INDICES[:6], nonce=NONCE, workers=2)
+    again = svc.shm_stats()["store"]
+    assert again is not None and again["name"] != first["name"]
+    assert _counter("shm.segments_created") - created0 == 2
+    svc.close()
+    assert again["name"] not in active_segments()
