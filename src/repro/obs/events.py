@@ -2,7 +2,7 @@
 
 Metrics answer "how many"; traces answer "where did the time/probes
 go"; the flight recorder answers "**what happened, in what order**" —
-faults fired, probes retried, shards requeued or hedged, answers
+faults fired, probes retried, shards requeued, answers
 degraded, cache entries hit or evicted.  Events are rare (they mark
 exceptional control flow, not per-probe work), so a bounded ring with a
 drop counter is the right shape: the recorder can never grow without
@@ -19,7 +19,9 @@ across reruns of a seeded scenario (the same determinism contract as
 Worker processes run their own recorder (reset at chunk start);
 finished events ship home inside the chunk payload and are folded into
 the parent's recorder via :meth:`FlightRecorder.ingest`, which
-re-stamps ``seq`` so the merged log has one total order.
+re-stamps ``seq`` so the merged log has one total order and adds the
+worker's drop count to the parent's.  A worker never writes to a spill
+file: the parent owns its spill, and the events reach it by ``ingest``.
 """
 
 from __future__ import annotations
@@ -163,15 +165,19 @@ class FlightRecorder:
             self._ring.append(event)
             return event
 
-    def ingest(self, events: Iterable[Event | dict]) -> int:
+    def ingest(self, events: Iterable[Event | dict], *, dropped: int = 0) -> int:
         """Fold another recorder's finished events into this one.
 
         Each event is re-stamped with this recorder's next ``seq`` (the
         source's relative order is preserved), so the merged log has one
-        total order.  Returns the number of events ingested.
+        total order.  ``dropped`` is the source recorder's own drop
+        count: events it shed never arrive here, so they are added to
+        this recorder's ``dropped`` to keep it honest fleet-wide.
+        Returns the number of events ingested.
         """
         n = 0
         with self._lock:
+            self._dropped += int(dropped)
             for item in events:
                 event = Event.from_dict(item) if isinstance(item, dict) else item
                 self._seq += 1

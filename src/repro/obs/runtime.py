@@ -41,7 +41,6 @@ __all__ = [
     "record_probe_retries",
     "record_degraded",
     "record_shard_retries",
-    "record_hedges",
     "record_shm",
     "record_event",
     "reset_worker_runtime",
@@ -110,7 +109,6 @@ _FAULT_KINDS = {
 _PROBE_RETRIES = REGISTRY.counter("serve.probe_retries")
 _DEGRADED = REGISTRY.counter("serve.degraded")
 _SHARD_RETRIES = REGISTRY.counter("serve.shard_retries")
-_HEDGES = REGISTRY.counter("serve.hedges")
 
 
 def span(name: str):
@@ -188,11 +186,6 @@ def record_shard_retries(n: int = 1) -> None:
     _SHARD_RETRIES.inc(n)
 
 
-def record_hedges(n: int = 1) -> None:
-    """``n`` hedged duplicate shard submissions fired."""
-    _HEDGES.inc(n)
-
-
 def record_probe_hedges(n: int = 1) -> None:
     """``n`` per-probe backup probes fired by a hedging retry policy."""
     REGISTRY.counter("faults.probe_hedges").inc(n)
@@ -234,6 +227,10 @@ def reset_worker_runtime(timeline: dict | None = None) -> None:
     global TIMELINE
     REGISTRY.reset()
     TRACER.reset_worker()
+    # A forked worker shares the parent's spill file descriptor; clearing
+    # with it attached would truncate the parent's spill.  The worker's
+    # events ship home and reach the parent's spill through ingest.
+    RECORDER.set_spill(None)
     RECORDER.clear()
     TIMELINE = (
         None if timeline is None else TimelineSampler(**timeline, registry=REGISTRY)

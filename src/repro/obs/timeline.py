@@ -33,10 +33,10 @@ parent's active sampler :meth:`config`;
 :func:`~repro.obs.runtime.reset_worker_runtime` builds an empty sampler
 from it, the worker captures locally from zero, and the
 parent folds the shipped :meth:`state` back with :meth:`merge_state` —
-winners only, through the same ``obs_state`` path that merges the
-registry and trace (losing shard attempts are dropped, exactly like
-their cost bills).  Merge semantics per tick index: counter deltas and
-occupancy counts **add**, brownout level and gauges take the **max**,
+only the attempt that answered each shard, through the same
+``obs_state`` path that merges the registry and trace (failed attempts
+ship nothing home, exactly like their cost bills).  Merge semantics per
+tick index: counter deltas and occupancy counts **add**, brownout level and gauges take the **max**,
 breaker state takes the **worst** — so K shard timelines merge into
 the timeline one process observing all K streams would have recorded.
 """

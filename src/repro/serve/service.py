@@ -26,8 +26,8 @@ On top of the amortizations sits the **resilience layer** (see
 ``docs/robustness.md``): the service can treat oracle access as an
 unreliable resource (:class:`~repro.faults.FaultPlan` wraps its access
 objects in fault injectors), recover transient probe failures with a
-budget-honest :class:`~repro.faults.RetryPolicy`, requeue or hedge
-process-pool shards whose workers die, and — when ``strict=False`` —
+budget-honest :class:`~repro.faults.RetryPolicy`, requeue
+process-pool shards whose workers die or stall, and — when ``strict=False`` —
 answer through the reason-coded degradation ladder
 (:class:`~repro.serve.degraded.DegradedAnswer`) instead of raising when
 the budget runs dry or faults persist past retry.
@@ -43,7 +43,6 @@ import os
 import threading
 import time
 from concurrent.futures import (
-    FIRST_COMPLETED,
     BrokenExecutor,
     Future,
     ProcessPoolExecutor,
@@ -170,7 +169,8 @@ def _serve_chunk(payload) -> tuple:
     where ``obs`` carries the chunk's full observability state — its
     registry (mergeable histogram buckets, not quantile summaries), its
     finished ``serve.shard`` span tree (when the parent propagated a
-    trace context), its flight-recorder events and its timeline ticks —
+    trace context), its flight-recorder events and drop count, and its
+    timeline ticks —
     so the parent can fold the shard's telemetry in exactly, not just
     its cost totals.
 
@@ -186,7 +186,7 @@ def _serve_chunk(payload) -> tuple:
     Under a plan with ``shard_kill_rate`` the child may deterministically
     kill itself *before* doing any work (``os._exit`` => the parent sees
     ``BrokenProcessPool`` — real worker death, not an exception), which
-    is how the requeue/hedge path is exercised end to end.
+    is how the requeue path is exercised end to end.
 
     The payload is ``(instance, spec, nonce, indices, attempt, strict,
     trace_ctx, timeline)``; ``spec`` is the service's :class:`_StackSpec`,
@@ -284,47 +284,6 @@ def _serve_chunk(payload) -> tuple:
     )
 
 
-def _first_result(
-    futures: list, *, timeout_s: float | None = None, shard: int = -1
-) -> tuple:
-    """First successful result of a (possibly hedged) future list.
-
-    First-result-wins with a deterministic tie-break: among futures
-    completed at the same wait wake-up, the earliest submission (the
-    primary) is preferred.  Returns ``(result, winner_future, None)`` on
-    success or ``(None, None, last_error)`` when every attempt failed —
-    the winner identity is what lets ``merge_losers`` harvest the
-    *other* futures without double-counting the winner.
-
-    ``timeout_s`` is the stuck-shard watchdog: when no attempt settles
-    within the deadline the verdict is a
-    :class:`~repro.errors.WatchdogTimeoutError` — the caller treats it
-    exactly like a dead worker (requeue or give up), because a wedged
-    shard and a killed one look identical from out here.
-    """
-    pending = set(futures)
-    err: Exception | None = None
-    deadline = None if timeout_s is None else time.monotonic() + float(timeout_s)
-    while pending:
-        remaining = None
-        if deadline is not None:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return None, None, WatchdogTimeoutError(shard, float(timeout_s))
-        done, pending = wait(
-            pending, timeout=remaining, return_when=FIRST_COMPLETED
-        )
-        if not done and deadline is not None and time.monotonic() >= deadline:
-            return None, None, WatchdogTimeoutError(shard, float(timeout_s))
-        for fut in futures:  # submission order = deterministic tie-break
-            if fut in done:
-                try:
-                    return fut.result(), fut, None
-                except Exception as exc:  # worker death, pickling, ...
-                    err = exc
-    return None, None, err
-
-
 @dataclass(frozen=True)
 class _ShardTotals:
     """Folded outcome of one parallel batch's shards."""
@@ -339,7 +298,6 @@ class _ShardTotals:
     degraded: int = 0
     probe_retries: int = 0
     shard_retries: int = 0
-    hedges: int = 0
 
 
 @dataclass(frozen=True)
@@ -349,9 +307,8 @@ class BatchReport:
     ``degraded`` counts answers served off the degradation ladder
     (always 0 under ``strict=True``); ``stale_served`` counts the subset
     of those the cache rung answered off a pipeline at least one batch
-    stale; ``shard_retries``/``hedges`` count process-pool shard
-    requeues after worker death and hedged duplicate submissions;
-    ``probe_retries`` counts budget-charged re-probes the retry policy
+    stale; ``shard_retries`` counts process-pool shard requeues after
+    a worker died or stalled; ``probe_retries`` counts budget-charged re-probes the retry policy
     performed on the batch's behalf.
     """
 
@@ -367,7 +324,6 @@ class BatchReport:
     degraded: int = 0
     probe_retries: int = 0
     shard_retries: int = 0
-    hedges: int = 0
     stale_served: int = 0
 
     @property
@@ -401,7 +357,6 @@ class BatchReport:
             "availability": self.availability,
             "probe_retries": self.probe_retries,
             "shard_retries": self.shard_retries,
-            "hedges": self.hedges,
             "stale_served": self.stale_served,
         }
 
@@ -421,16 +376,13 @@ class KnapsackService:
         ``False`` to disable memoization entirely.
     cache_capacity:
         Size of the private cache when ``cache`` is ``None``.
-    max_workers:
-        Default shard count for parallel batches (defaults to CPU count
-        capped at 8).
     executor:
         ``"thread"`` (default) or ``"process"`` — how parallel batches
         run.  Thread shards share the parent's cache; process shards
         cannot (results stay in the child), but exercise true
         zero-shared-state execution and rely on answers being cheap to
         pickle.  Either way the shards run on one long-lived pool per
-        service (plus a hedge mirror), built on the first sharded batch
+        service, built on the first sharded batch
         and shut down by :meth:`close`; a service that has served a
         sharded batch holds live workers until it is closed (or used as
         a context manager).
@@ -450,10 +402,6 @@ class KnapsackService:
     max_shard_retries:
         Times a process-pool shard is requeued after worker death before
         the batch gives up on it (raise under strict, degrade otherwise).
-    hedge:
-        When true, each process-pool shard is also submitted to a second
-        pool; first result wins with a deterministic tie-break (primary
-        preferred).
     max_staleness:
         Bound (in served batches) on how stale a memoized pipeline the
         degradation ladder's cache rung may answer from; ``None``
@@ -467,21 +415,6 @@ class KnapsackService:
         :class:`~repro.errors.CorruptProbeError` instead of being
         trusted.  Requires ``retry_policy`` — detection without recovery
         would just turn corruption into an outage.
-    merge_losers:
-        Opt-in telemetry completeness for hedged/requeued process-pool
-        shards.  By default only the *winning* attempt's observability
-        ships home (matching how losing cost bills are discarded, so
-        merged telemetry reconciles with the budget).  With
-        ``merge_losers=True`` the obs state of losing attempts that
-        still ran to completion is merged too — their trace roots
-        renamed with an ``.abandoned`` suffix and their events tagged
-        ``abandoned=true`` — and their probe bills are accumulated in
-        separate ``abandoned_*`` counters (:meth:`stats`), never in
-        ``samples_used``/``queries_used``.  Attributed work then
-        legitimately *exceeds* billed work: that surplus is exactly the
-        cluster-wide cost of hedging, which is the thing this flag
-        exists to measure.  Answer values and budget accounting are
-        unchanged either way.
     shared_instance:
         When truthy, process-pool shards receive an O(1)
         :class:`~repro.knapsack.shm.SharedInstanceHandle` instead of the
@@ -510,8 +443,8 @@ class KnapsackService:
         probes that tripped it.
     shard_deadline_s:
         Optional stuck-shard watchdog deadline (seconds) on process-pool
-        shard futures.  A shard that neither finishes nor dies within
-        the deadline is abandoned as a
+        shard futures, measured from submission.  A shard that neither
+        finishes nor dies within the deadline is abandoned as a
         :class:`~repro.errors.WatchdogTimeoutError` and requeued through
         the existing worker-death path; the wedged pool's workers are
         terminated and the pool replaced, so their shared-memory
@@ -530,16 +463,13 @@ class KnapsackService:
         large_item_mode: str = "coupon",
         cache: PipelineCache | bool | None = None,
         cache_capacity: int = 64,
-        max_workers: int | None = None,
         executor: str = "thread",
         fault_plan: FaultPlan | None = None,
         retry_policy: RetryPolicy | None = None,
         strict: bool = True,
         max_shard_retries: int = 2,
-        hedge: bool = False,
         max_staleness: int | None = None,
         probe_audit: bool = False,
-        merge_losers: bool = False,
         shared_instance: bool | SharedInstanceStore = False,
         breaker: BreakerConfig | bool | None = None,
         shard_deadline_s: float | None = None,
@@ -575,27 +505,20 @@ class KnapsackService:
             self._owns_store = True
         self._worker_setup_s: list[float] = []
         self._worker_memory: list[dict] = []
-        # kind ("thread", "process" or the "hedge" mirror) -> (pool, size):
+        # kind ("thread" or "process") -> (pool, size):
         # one long-lived pool per kind, built on first use, grown to the
         # largest shard count seen, replaced only when it breaks.  The
         # lock lets concurrent callers share one pool (and one segment).
         self._pools: dict[str, tuple] = {}
         self._lock = threading.Lock()
         self._executor_kind = executor
-        self._max_workers = max_workers or min(8, os.cpu_count() or 1)
         self._strict = bool(strict)
         self._max_shard_retries = int(max_shard_retries)
-        self._hedge = bool(hedge)
-        self._merge_losers = bool(merge_losers)
         self._shard_deadline_s = (
             None if shard_deadline_s is None else float(shard_deadline_s)
         )
         self._deadline_shed = 0
         self._watchdog_timeouts = 0
-        self._abandoned_samples = 0
-        self._abandoned_queries = 0
-        self._abandoned_blocks = 0
-        self._abandoned_shards = 0
         self._max_staleness = None if max_staleness is None else int(max_staleness)
         audit_bounds: tuple[float, float] | None = None
         if probe_audit:
@@ -741,7 +664,8 @@ class KnapsackService:
     @property
     def probe_hedges_used(self) -> int:
         """Backup probes fired by a hedging retry policy (serial path;
-        process-shard hedges surface via the merged metrics registry)."""
+        probe hedges fired inside process shards surface via the merged
+        metrics registry)."""
         return getattr(self._sampler, "hedges_used", 0) + getattr(
             self._oracle, "hedges_used", 0
         )
@@ -758,17 +682,6 @@ class KnapsackService:
     def degraded_total(self) -> int:
         """Answers served off the degradation ladder so far."""
         return self._degraded_total
-
-    @property
-    def abandoned_work(self) -> dict[str, int]:
-        """Probe work done by losing shard attempts (only populated
-        under ``merge_losers=True``; never part of the budget bill)."""
-        return {
-            "shards": self._abandoned_shards,
-            "samples": self._abandoned_samples,
-            "queries": self._abandoned_queries,
-            "blocks": self._abandoned_blocks,
-        }
 
     @property
     def faults_injected(self) -> dict[str, int]:
@@ -937,9 +850,9 @@ class KnapsackService:
         pipeline run (or cache hit).  ``workers`` > 1 splits the batch
         into contiguous shards, each served under its own derived nonce
         by an independent LCA copy — the parallel execution path.
-        Process-pool shards whose workers die are requeued (and
-        optionally hedged); queries that cannot be answered the honest
-        way are degraded rather than aborted unless ``strict``.
+        Process-pool shards whose workers die or stall are requeued;
+        queries that cannot be answered the honest way are degraded
+        rather than aborted unless ``strict``.
 
         ``deadline_s`` is the overload governor's admission gate: an
         absolute deadline on ``clock``'s timeline (``time.monotonic``
@@ -1099,7 +1012,6 @@ class KnapsackService:
             degraded=agg.degraded,
             probe_retries=agg.probe_retries,
             shard_retries=agg.shard_retries,
-            hedges=agg.hedges,
             stale_served=self._count_stale(ordered),
         )
 
@@ -1169,13 +1081,13 @@ class KnapsackService:
     def _pool(self, kind: str, w: int):
         """The service's live ``kind`` pool, with room for ``w`` shards.
 
-        ``kind`` is ``"thread"``, ``"process"`` or ``"hedge"`` (the
-        process pool's independent mirror).  The pool is built on first
-        use and lives until :meth:`close`; concurrent callers share it.
-        A broken pool is retired by the round that saw it break
-        (:meth:`_settle_round`); here a pool is only replaced when it is
-        too small — it grows to the largest ``w`` seen, and the outgrown
-        pool drains its in-flight work before it shuts down.
+        ``kind`` is ``"thread"`` or ``"process"``.  The pool is built on
+        first use and lives until :meth:`close`; concurrent callers
+        share it.  A broken or wedged process pool is retired by the
+        round that saw it fail (:meth:`_drop_pool`); here a pool is only
+        replaced when it is too small — it grows to the largest ``w``
+        seen, and the outgrown pool drains its in-flight work before it
+        shuts down.
         """
         with self._lock:
             pool, size = self._pools.get(kind, (None, 0))
@@ -1189,15 +1101,15 @@ class KnapsackService:
             pool.shutdown(wait=True)
         return fresh
 
-    def _drop_pool(self, kind: str, pool, *, terminate: bool = False) -> None:
-        """Retire a broken or wedged ``pool``; the next round builds a
-        fresh one.  ``terminate`` is the watchdog's escalation: a wedged
-        worker would make ``shutdown(wait=True)`` hang for the stall's
-        full duration, so cancel what never started and terminate what
-        wedged instead of joining it."""
+    def _drop_pool(self, pool, *, terminate: bool = False) -> None:
+        """Retire a broken or wedged process ``pool``; the next round
+        builds a fresh one.  ``terminate`` is the watchdog's escalation:
+        a wedged worker would make ``shutdown(wait=True)`` hang for the
+        stall's full duration, so cancel what never started and
+        terminate what wedged instead of joining it."""
         with self._lock:
-            if self._pools.get(kind, (None, 0))[0] is pool:
-                del self._pools[kind]
+            if self._pools.get("process", (None, 0))[0] is pool:
+                del self._pools["process"]
         if not terminate:
             pool.shutdown(wait=True)
             return
@@ -1230,18 +1142,15 @@ class KnapsackService:
             trace_ctx, _obs.timeline_config(),
         )
 
-    def _merge_worker_obs(self, obs: dict | None, *, abandoned: bool = False) -> None:
-        """Fold one shard attempt's shipped observability state into the
-        parent runtime: registry (exact bucket-wise histogram merge),
-        trace subtree (grafted under the current batch span), and flight
-        events (re-stamped into the parent's total order).
+    def _merge_worker_obs(self, obs: dict | None) -> None:
+        """Fold one shard's shipped observability state into the parent
+        runtime: registry (exact bucket-wise histogram merge), trace
+        subtree (grafted under the current batch span), flight events
+        (re-stamped into the parent's total order, with the worker's
+        ring drops added to the parent's) and timeline ticks.
 
-        By default only winning attempts are merged, matching how losing
-        cost bills are discarded.  Under ``merge_losers`` losing
-        attempts arrive with ``abandoned=True``: their trace root is
-        renamed with an ``.abandoned`` suffix and their events tagged,
-        so abandoned work is visible but never mistakable for the
-        serving path.
+        Only the attempt that answered a shard is merged, matching how
+        a failed attempt's cost bill never reaches the budget.
         """
         if not obs:
             return
@@ -1252,167 +1161,89 @@ class KnapsackService:
         if trace is not None:
             parent = _obs.TRACER.current()
             if parent is not None:
-                root = span_from_payload(trace)
-                if abandoned:
-                    root.name = f"{root.name}.abandoned"
-                _obs.TRACER.graft(parent, root)
-        events = obs.get("events")
-        if events:
-            if abandoned:
-                events = [
-                    {**e, "attrs": {**(e.get("attrs") or {}), "abandoned": True}}
-                    for e in events
-                ]
-            _obs.RECORDER.ingest(events)
-        # Winners only: an abandoned attempt's trajectory would
-        # double-count ticks the winning attempt already represents,
-        # the same reason losing cost bills never reach the budget.
-        timeline = obs.get("timeline")
-        if timeline and not abandoned and _obs.TIMELINE is not None:
-            _obs.TIMELINE.merge_state(timeline)
-
-    def _absorb_loser(self, res: tuple) -> None:
-        """Account one losing-but-completed shard attempt's telemetry.
-
-        Its probe bill goes to the ``abandoned_*`` counters — *not* to
-        ``samples_used``/``queries_used``, which stay reconciled with
-        the budget — and its obs state merges tagged as abandoned."""
-        self._abandoned_shards += 1
-        self._abandoned_samples += int(res[1])
-        self._abandoned_queries += int(res[2])
-        self._abandoned_blocks += int(res[3])
-        self._merge_worker_obs(
-            res[6] if len(res) > 6 else None, abandoned=True
+                _obs.TRACER.graft(parent, span_from_payload(trace))
+        _obs.RECORDER.ingest(
+            obs.get("events") or [], dropped=obs.get("dropped_events", 0)
         )
-
-    def _settle_round(self, pools, futures: dict, *, escalate: bool) -> None:
-        """End one process round without shutting down a healthy pool.
-
-        Attempts that never started are cancelled and the rest awaited,
-        so every future of the round is settled when this returns (what
-        ``merge_losers`` harvests).  A pool with a dead worker is retired;
-        ``escalate`` (the watchdog fired) terminates and retires every
-        pool of the round instead of waiting on a wedged worker.
-        """
-        if escalate:
-            for kind, pool in pools:
-                self._drop_pool(kind, pool, terminate=True)
-            return
-        subs = [fut for attempts in futures.values() for fut in attempts]
-        for fut in subs:
-            fut.cancel()
-        pending = [fut for fut in subs if not fut.done()]
-        if pending:
-            wait(pending)
-        broken = {
-            i
-            for attempts in futures.values()
-            for i, fut in enumerate(attempts)  # attempt i went to pools[i]
-            if not fut.cancelled() and isinstance(fut.exception(), BrokenExecutor)
-        }
-        for i in sorted(broken):
-            self._drop_pool(*pools[i])
+        timeline = obs.get("timeline")
+        if timeline and _obs.TIMELINE is not None:
+            _obs.TIMELINE.merge_state(timeline)
 
     def _run_process(self, shards, nonces, w, strict) -> _ShardTotals:
         """Submit shards to the service's process pool with requeue-on-death.
 
-        Each round submits to the long-lived pool (:meth:`_pool`) and
-        then waits for its own futures to settle; it never shuts the
-        pool down.  A dead worker breaks its whole pool, so a round that
-        saw one retires that pool and the requeue round runs in its
-        replacement; the failed shard is resubmitted with an incremented
-        attempt index (its fault coins are attempt-keyed, so a requeue is
-        a genuinely new roll, not a replay of its killer).  Hedged mode
-        mirrors every submission into a second, independent long-lived
-        pool — first result wins, primaries break ties.
+        Each round submits one attempt per pending shard to the
+        long-lived pool (:meth:`_pool`), then waits once for the whole
+        round and sorts every attempt into done, failed or stuck.  A
+        dead worker breaks its whole pool, so a round that saw one
+        retires that pool and the requeue round runs in its replacement;
+        a failed shard is resubmitted with an incremented attempt index
+        (its fault coins are attempt-keyed, so a requeue is a genuinely
+        new roll, not a replay of its killer).
 
-        Under ``shard_deadline_s`` a stuck-shard watchdog bounds each
-        shard's wait: an attempt that neither finishes nor dies in time
-        is abandoned (``WatchdogTimeoutError``) and rides the same
-        requeue path as a dead worker.  A round that fired the watchdog
-        escalates on its pools — the wedged worker is terminated, not
-        joined, and the pool replaced — so a stall can never hold the
-        batch hostage, and the parent (which owns any shared-memory
-        segment) still unlinks on close: no segment leaks.
+        Under ``shard_deadline_s`` the round's single wait is the
+        stuck-shard watchdog, so every shard's deadline runs from its
+        submission: an attempt that neither finishes nor dies in time is
+        abandoned (``WatchdogTimeoutError``) and rides the same requeue
+        path as a dead worker.  A round that fired the watchdog
+        terminates its pool's workers instead of joining them and the
+        pool is replaced — a stall can never hold the batch hostage, and
+        the parent (which owns any shared-memory segment) still unlinks
+        on close: no segment leaks.
         """
         n_shards = len(shards)
         results: dict[int, tuple | None] = {}
-        submissions = {k: 0 for k in range(n_shards)}
-        requeues = {k: 0 for k in range(n_shards)}
+        submissions = [0] * n_shards
         last_error: dict[int, Exception] = {}
         shard_retries = 0
-        hedges = 0
         # Shared mode ships the O(1) handle; workers attach zero-copy.
         instance = self._ensure_store().handle if self._shared else self._instance
-        kinds = ("process", "hedge") if self._hedge else ("process",)
         todo = list(range(n_shards))
         while todo:
+            pool = self._pool("process", w)
+            futures: dict[int, Future] = {}
+            for k in todo:
+                payload = self._chunk_payload(
+                    instance, shards[k], nonces[k], submissions[k], strict, k
+                )
+                try:
+                    futures[k] = pool.submit(_serve_chunk, payload)
+                except RuntimeError as exc:
+                    # The pool broke before this submit (a worker died)
+                    # or another caller's watchdog retired it: it takes
+                    # no more work, so the shard fails like one whose
+                    # worker died.
+                    futures[k] = Future()
+                    futures[k].set_exception(exc)
+                submissions[k] += 1
+            _done, stuck = wait(futures.values(), timeout=self._shard_deadline_s)
+            broken = False
             failed: list[int] = []
-            watchdog_fired = False
-            pools = [(kind, self._pool(kind, w)) for kind in kinds]
-            futures: dict[int, list] = {}
-            winners: dict[int, object] = {}
-            try:
-                for k in todo:
-                    subs = []
-                    for _kind, pool in pools:
-                        payload = self._chunk_payload(
-                            instance, shards[k], nonces[k], submissions[k], strict, k
-                        )
-                        try:
-                            fut = pool.submit(_serve_chunk, payload)
-                        except RuntimeError as exc:
-                            # The pool broke before this submit (a worker
-                            # died) or another caller's watchdog retired
-                            # it: it takes no more work, so the shard
-                            # fails like one whose worker died.
-                            fut = Future()
-                            fut.set_exception(exc)
-                        subs.append(fut)
-                        submissions[k] += 1
-                    if len(subs) > 1:
-                        hedges += 1
-                        _obs.record_hedges(1)
-                        _obs.record_event("shard.hedge", shard=k, nonce=nonces[k])
-                    futures[k] = subs
-                for k in todo:
-                    res, winner, err = _first_result(
-                        futures[k], timeout_s=self._shard_deadline_s, shard=k
+            for k, fut in futures.items():
+                if fut in stuck:
+                    err = WatchdogTimeoutError(k, float(self._shard_deadline_s))
+                    self._watchdog_timeouts += 1
+                    _obs.REGISTRY.counter("overload.watchdog_timeouts").inc()
+                    _obs.record_event(
+                        "overload.watchdog",
+                        shard=k,
+                        nonce=nonces[k],
+                        deadline_s=self._shard_deadline_s,
                     )
-                    if err is None:
-                        results[k] = res
-                        winners[k] = winner
-                    else:
-                        if isinstance(err, WatchdogTimeoutError):
-                            watchdog_fired = True
-                            self._watchdog_timeouts += 1
-                            _obs.REGISTRY.counter(
-                                "overload.watchdog_timeouts"
-                            ).inc()
-                            _obs.record_event(
-                                "overload.watchdog",
-                                shard=k,
-                                nonce=nonces[k],
-                                deadline_s=self._shard_deadline_s,
-                            )
-                        last_error[k] = err
-                        failed.append(k)
-            finally:
-                self._settle_round(pools, futures, escalate=watchdog_fired)
-            if self._merge_losers:
-                # The round's futures are settled: losing attempts that
-                # ran to completion (hedge runners-up, or late finishers
-                # the winner beat) are harvestable; cancelled-before-start
-                # ones are not — nothing ran.
-                for k, subs in futures.items():
-                    for fut in subs:
-                        if fut is winners.get(k) or fut.cancelled():
-                            continue
-                        if fut.done() and fut.exception() is None:
-                            self._absorb_loser(fut.result())
+                else:
+                    try:
+                        results[k] = fut.result()
+                        continue
+                    except Exception as exc:  # worker death, cancellation, ...
+                        err = exc
+                    broken = broken or isinstance(err, BrokenExecutor)
+                last_error[k] = err
+                failed.append(k)
+            if stuck or broken:
+                self._drop_pool(pool, terminate=bool(stuck))
             todo = []
             for k in failed:
-                if requeues[k] >= self._max_shard_retries:
+                if submissions[k] > self._max_shard_retries:
                     if strict:
                         raise ShardFailureError(
                             k, submissions[k], last_error[k]
@@ -1425,14 +1256,13 @@ class KnapsackService:
                     )
                     results[k] = None
                 else:
-                    requeues[k] += 1
                     shard_retries += 1
                     _obs.record_shard_retries(1)
                     _obs.record_event(
                         "shard.requeue",
                         shard=k,
                         nonce=nonces[k],
-                        attempt=requeues[k],
+                        attempt=submissions[k],
                     )
                     todo.append(k)
         answers: list = []
@@ -1471,7 +1301,6 @@ class KnapsackService:
             degraded=degraded,
             probe_retries=retries,
             shard_retries=shard_retries,
-            hedges=hedges,
         )
 
     # ------------------------------------------------------------------
@@ -1486,7 +1315,6 @@ class KnapsackService:
             "probe_hedges": self.probe_hedges_used,
             "degraded_total": self.degraded_total,
             "faults_injected": self.faults_injected,
-            "abandoned_work": self.abandoned_work,
             "overload": {
                 "deadline_shed": self._deadline_shed,
                 "watchdog_timeouts": self._watchdog_timeouts,
@@ -1500,7 +1328,7 @@ class KnapsackService:
 
     @property
     def worker_setup_s(self) -> list[float]:
-        """Per-winning-shard access-setup seconds, most recent process batch.
+        """Per-shard access-setup seconds, most recent process batch.
 
         Covers segment attach and sampler wrap (shared mode) or sampler
         construction over the unpickled instance (pickled mode) — the
@@ -1511,15 +1339,15 @@ class KnapsackService:
 
     @property
     def worker_memory(self) -> list[dict]:
-        """Per-winning-shard :func:`~repro.knapsack.shm.process_memory`
+        """Per-shard :func:`~repro.knapsack.shm.process_memory`
         snapshots, most recent process batch."""
         return list(self._worker_memory)
 
     def shm_stats(self) -> dict | None:
         """Shared-memory tier accounting, or ``None`` when not in use.
 
-        ``worker_setup_s``/``worker_memory`` reflect the winning shards
-        of the most recent process batch: with the tier on, setup is
+        ``worker_setup_s``/``worker_memory`` reflect the shards of the
+        most recent process batch: with the tier on, setup is
         O(1) in n and per-worker *private* memory stays bounded by
         block-size working state, not by the instance (shared pages are
         excluded from ``private_kb``).

@@ -107,7 +107,7 @@ class TestEventsDocument:
             assert forbidden not in text
 
     def test_event_round_trip(self):
-        e = Event(seq=3, kind="shard.hedge", trace_id="t2", attrs={"shard": 1})
+        e = Event(seq=3, kind="shard.requeue", trace_id="t2", attrs={"shard": 1})
         assert Event.from_dict(e.to_dict()) == e
 
     def test_render_timeline_mentions_every_event(self):

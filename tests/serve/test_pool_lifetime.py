@@ -1,7 +1,7 @@
 """One long-lived worker pool per service.
 
-A service builds each pool kind — thread, process, and the hedge
-mirror — once, on its first sharded batch, and keeps it until
+A service builds each pool kind — thread and process — once, on its
+first sharded batch, and keeps it until
 ``close()``.  It is replaced only when it breaks (a killed worker) or
 when the stuck-shard watchdog escalates.  Answers depend only on
 ``(seed, nonce, shard)``, never on which worker served them, so a reused
@@ -81,15 +81,11 @@ class TestOnePoolPerKind:
         assert len(built["thread"]) == 1
         assert built["process"] == []
 
-    def test_process_and_hedge_pools_are_built_once(
-        self, tiers_instance, fast_params, built
-    ):
-        with make(
-            tiers_instance, fast_params, executor="process", hedge=True
-        ) as svc:
+    def test_process_pool_is_built_once(self, tiers_instance, fast_params, built):
+        with make(tiers_instance, fast_params, executor="process") as svc:
             for nonce in NONCES:
-                assert svc.answer_batch(INDICES, nonce=nonce, workers=2).hedges == 2
-        assert len(built["process"]) == 2  # the primary and its hedge mirror
+                svc.answer_batch(INDICES, nonce=nonce, workers=2)
+        assert len(built["process"]) == 1
         assert built["thread"] == []
 
     def test_pool_only_grows(self, tiers_instance, fast_params, built):
@@ -207,12 +203,11 @@ class TestReplacement:
 
 @pytest.mark.slow
 class TestClose:
-    @pytest.mark.parametrize("hedge", [False, True])
-    def test_close_leaves_no_child_process(self, tiers_instance, fast_params, hedge):
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_close_leaves_no_child_process(self, tiers_instance, fast_params, shared):
         before = multiprocessing.active_children()
         svc = make(
-            tiers_instance, fast_params, executor="process",
-            shared_instance=True, hedge=hedge,
+            tiers_instance, fast_params, executor="process", shared_instance=shared
         )
         svc.answer_batch(INDICES, nonce=31, workers=2)
         svc.answer_batch(INDICES, nonce=32, workers=2)
@@ -220,7 +215,7 @@ class TestClose:
         svc.close()
         assert new_children(before) == []
         assert orphaned_system_segments() == []
-        # Still usable: the next batch builds fresh pools and a segment.
+        # Still usable: the next batch builds a fresh pool (and segment).
         svc.answer_batch(INDICES, nonce=33, workers=2)
         svc.close()
         assert new_children(before) == []

@@ -144,6 +144,52 @@ class TestProcessObsParity:
         assert rt.REGISTRY.state()["counters"]["sampler.samples"] > 0
 
 
+@pytest.mark.slow
+class TestWorkerRecorderIsolation:
+    """A forked worker inherits the parent's flight recorder, spill file
+    included; it must neither write to that file nor hide its drops."""
+
+    def faulty_batch(self, instance, params, executor):
+        from repro.faults import FaultPlan, RetryPolicy
+
+        with KnapsackService(
+            instance, 0.1, seed=42, params=params, cache=False,
+            executor=executor,
+            fault_plan=FaultPlan(seed=5, probe_failure_rate=0.3),
+            retry_policy=RetryPolicy(max_retries=4, seed=5),
+            strict=False,
+        ) as svc:
+            svc.answer_batch(INDICES, nonce=NONCE, workers=2)
+
+    def test_parent_spill_survives_and_worker_drops_are_counted(
+        self, tiers_instance, fast_params, tmp_path, monkeypatch
+    ):
+        from repro.obs.events import FlightRecorder
+
+        # Reference: thread shards record straight into the parent, so
+        # every event the batch fires is either retained or dropped.  A
+        # one-event ring makes any shard that fires twice drop one.
+        monkeypatch.setattr(rt, "RECORDER", FlightRecorder(capacity=1))
+        self.faulty_batch(tiers_instance, fast_params, "thread")
+        fired = rt.RECORDER.dropped + len(rt.RECORDER.events())
+
+        spill = tmp_path / "spill.jsonl"
+        recorder = FlightRecorder(capacity=1, spill_path=spill)
+        monkeypatch.setattr(rt, "RECORDER", recorder)
+        for nonce in range(10):
+            recorder.record("cache.evicted", nonce=nonce)
+        parent_lines = spill.read_text().splitlines()
+        assert len(parent_lines) == 9
+        self.faulty_batch(tiers_instance, fast_params, "process")
+
+        text = spill.read_text()
+        assert "\0" not in text
+        assert text.splitlines()[:9] == parent_lines
+        assert recorder.spilled == len(text.splitlines())
+        assert fired > 2  # so at least one of the two shards dropped
+        assert recorder.dropped + len(recorder.events()) == 10 + fired
+
+
 def timeline_after(svc, *, warm: bool) -> dict:
     """Merged timeline state of one batch served under a freshly
     activated sampler; ``warm`` first serves a batch with none active,

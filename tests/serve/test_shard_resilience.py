@@ -1,4 +1,4 @@
-"""Tests for shard requeue, hedging, and shard-level degradation.
+"""Tests for shard requeue and shard-level degradation.
 
 Process-pool shards are killed via seeded, attempt-keyed coins
 (``FaultPlan.shard_kill``), so kill-then-recover is a deterministic
@@ -7,7 +7,7 @@ scenario, not a flaky one: with ``shard_kill_rate=1.0`` and
 requeue survives.
 """
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -78,6 +78,37 @@ class TestRequeue:
             (a.index, a.include) for a in want.answers
         ]
 
+    def test_cancelled_attempt_requeues(
+        self, tiers_instance, fast_params, monkeypatch
+    ):
+        # Another caller's watchdog escalation cancels the shared pool's
+        # queued work; a cancelled attempt is requeued like a dead one.
+        submits: list[int] = []
+
+        class CancelsFirstSubmit(ProcessPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                submits.append(1)
+                if len(submits) == 1:
+                    # What an executor's shutdown(cancel_futures=True)
+                    # leaves behind: cancelled, and its waiters notified.
+                    cancelled = Future()
+                    cancelled.cancel()
+                    cancelled.set_running_or_notify_cancel()
+                    return cancelled
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(service_module, "ProcessPoolExecutor", CancelsFirstSubmit)
+        threaded = KnapsackService(
+            tiers_instance, 0.1, seed=42, params=fast_params, cache=False
+        )
+        with service(tiers_instance, fast_params) as svc:
+            got = svc.answer_batch(INDICES, nonce=31, workers=2)
+        want = threaded.answer_batch(INDICES, nonce=31, workers=2)
+        assert got.shard_retries == 1 and got.degraded == 0
+        assert [(a.index, a.include) for a in got.answers] == [
+            (a.index, a.include) for a in want.answers
+        ]
+
     def test_exhausted_retries_degrade_the_shard(
         self, tiers_instance, fast_params
     ):
@@ -107,12 +138,37 @@ class TestRequeue:
 
 
 @pytest.mark.slow
-class TestHedging:
-    def test_hedged_batch_matches_unhedged(self, tiers_instance, fast_params):
-        hedged = service(tiers_instance, fast_params, hedge=True)
-        plain = service(tiers_instance, fast_params)
-        a = hedged.answer_batch(INDICES, nonce=31, workers=2)
-        b = plain.answer_batch(INDICES, nonce=31, workers=2)
-        assert [x.include for x in a.answers] == [x.include for x in b.answers]
-        assert a.hedges >= 1
-        assert a.degraded == 0
+class TestOneAttemptPerShard:
+    """Each round submits exactly one attempt per pending shard."""
+
+    W = 3
+
+    @pytest.fixture
+    def submits(self, monkeypatch):
+        calls: list[int] = []
+
+        class CountingSubmits(ProcessPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                calls.append(1)
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(service_module, "ProcessPoolExecutor", CountingSubmits)
+        return calls
+
+    def test_fault_free_batch_submits_once_per_shard(
+        self, tiers_instance, fast_params, submits
+    ):
+        with service(tiers_instance, fast_params) as svc:
+            report = svc.answer_batch(INDICES, nonce=31, workers=self.W)
+        assert len(submits) == self.W
+        assert report.shard_retries == 0 and report.degraded == 0
+
+    def test_killed_first_attempts_are_resubmitted_once(
+        self, tiers_instance, fast_params, submits
+    ):
+        kill_plan = FaultPlan(seed=5, shard_kill_rate=1.0, shard_kill_attempts=1)
+        with service(tiers_instance, fast_params, fault_plan=kill_plan) as svc:
+            report = svc.answer_batch(INDICES, nonce=31, workers=self.W)
+        assert len(submits) == 2 * self.W
+        assert report.shard_retries == self.W
+        assert report.degraded == 0

@@ -15,6 +15,7 @@ from repro.errors import DeadlineExceededError
 from repro.faults import FaultPlan
 from repro.knapsack.shm import orphaned_system_segments
 from repro.serve import KnapsackService
+from repro.serve import service as service_module
 
 INDICES = list(range(0, 60, 3))
 STALL = FaultPlan(seed=5, shard_stall_rate=1.0, shard_stall_s=2.0,
@@ -82,6 +83,35 @@ class TestWatchdog:
         # rides the deterministic shard path, it doesn't change answers.
         assert [a.index for a in got.answers] == [a.index for a in want.answers]
         assert [a.include for a in got.answers] == [a.include for a in want.answers]
+
+    def test_stalled_shards_share_one_deadline_per_round(
+        self, tiers_instance, fast_params, monkeypatch
+    ):
+        # Four shards wedge at once: one wait per round, each bounded by
+        # the deadline, so all four time out together in the first round
+        # instead of costing four deadlines back to back.
+        timeouts: list = []
+        real_wait = service_module.wait
+
+        def counting_wait(fs, timeout=None, **kwargs):
+            timeouts.append(timeout)
+            return real_wait(fs, timeout=timeout, **kwargs)
+
+        monkeypatch.setattr(service_module, "wait", counting_wait)
+        want = KnapsackService(
+            tiers_instance, 0.1, seed=42, params=fast_params, cache=False,
+        ).answer_batch(INDICES, nonce=31, workers=4)
+        with KnapsackService(
+            tiers_instance, 0.1, seed=42, params=fast_params, cache=False,
+            executor="process", fault_plan=STALL, shard_deadline_s=0.75,
+        ) as svc:
+            got = svc.answer_batch(INDICES, nonce=31, workers=4)
+            assert svc.stats()["overload"]["watchdog_timeouts"] == 4
+        assert timeouts == [0.75, 0.75]  # the stalled round, then the requeue
+        assert got.shard_retries == 4 and got.degraded == 0
+        assert [(a.index, a.include) for a in got.answers] == [
+            (a.index, a.include) for a in want.answers
+        ]
 
     def test_watchdog_runs_are_deterministic(self, tiers_instance, fast_params):
         def run():
