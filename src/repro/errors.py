@@ -210,25 +210,6 @@ class DeadlineExceededError(FaultInjectionError):
         )
 
 
-class CircuitOpenError(FaultInjectionError):
-    """A circuit breaker refused a probe while open (fail-fast).
-
-    Raised *before* the probe executes, so nothing new is charged; the
-    probes whose failures tripped the breaker stay charged (tripping
-    never un-charges).  Not transient — retrying into an open breaker
-    would defeat its purpose — so the degradation ladder absorbs it.
-    """
-
-    reason_code = "breaker-open"
-
-    def __init__(self, resource: str, until_s: float) -> None:
-        self.resource = resource
-        self.until_s = until_s
-        super().__init__(
-            f"circuit open for {resource!r} until t={until_s:.6g}s (fail-fast)"
-        )
-
-
 class WatchdogTimeoutError(FaultInjectionError):
     """A process-shard future blew its watchdog deadline (stuck shard).
 

@@ -2,39 +2,34 @@
 
 The LCA model's central resource is the per-query probe budget; this
 package treats each probe as something that can *fail* — deterministic,
-seeded fault injection (:class:`FaultPlan`, :class:`FaultyOracle`,
-:class:`FaultySampler`), bounded budget-honest recovery
-(:class:`RetryPolicy`, :class:`RetryingOracle`, :class:`RetryingSampler`),
-plausibility auditing that turns silent corruption into a retryable
-fault (:class:`ProbeAuditor`), and seeded chaos sweeps
-(:func:`chaos_sweep`) that certify availability under each fault rate.
-See ``docs/robustness.md``.
+seeded fault injection (:class:`FaultPlan`, :class:`FaultyAccess`),
+bounded budget-honest recovery (:class:`RetryPolicy`,
+:class:`RetryingAccess`), plausibility auditing that turns silent
+corruption into a retryable fault (:class:`ProbeAuditor`), and seeded
+chaos sweeps (:func:`chaos_sweep`) that certify availability under each
+fault rate.  Both wrappers are :class:`ProbeLayer` subclasses: one hook
+around every probe, every accounting face forwarded.  See
+``docs/robustness.md``.
 """
 
 from .audit import ProbeAuditor
 from .chaos import CHAOS_SCHEMA, chaos_document, chaos_sweep
-from .injectors import FaultyOracle, FaultySampler
+from .injectors import FaultyAccess
+from .layer import ProbeLayer
 from .plan import FaultDecision, FaultPlan, FaultStream
-from .retry import (
-    TRANSIENT_FAULTS,
-    RetryOutcome,
-    RetryPolicy,
-    RetryingOracle,
-    RetryingSampler,
-)
+from .retry import TRANSIENT_FAULTS, RetryOutcome, RetryPolicy, RetryingAccess
 
 __all__ = [
     "CHAOS_SCHEMA",
     "FaultDecision",
     "FaultPlan",
     "FaultStream",
-    "FaultyOracle",
-    "FaultySampler",
+    "FaultyAccess",
     "ProbeAuditor",
+    "ProbeLayer",
     "RetryOutcome",
     "RetryPolicy",
-    "RetryingOracle",
-    "RetryingSampler",
+    "RetryingAccess",
     "TRANSIENT_FAULTS",
     "chaos_document",
     "chaos_sweep",

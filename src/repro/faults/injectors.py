@@ -1,9 +1,9 @@
-"""Fault-injecting decorators for the access layer.
+"""Fault injection for the access layer.
 
-:class:`FaultyOracle` and :class:`FaultySampler` wrap the real access
-objects and present the same interface (they satisfy
-:func:`~repro.access.cost.ensure_cost_meter`), so an
-:class:`~repro.core.LCAKP` built over them cannot tell it is being
+:class:`FaultyAccess` wraps a real oracle or sampler and presents the
+same interface (a :class:`~repro.faults.layer.ProbeLayer`, so it
+satisfies :func:`~repro.access.cost.ensure_cost_meter`): an
+:class:`~repro.core.LCAKP` built over it cannot tell it is being
 sabotaged — which is the point.
 
 The failure model is *charge-then-lose*: the wrapped probe executes
@@ -13,283 +13,102 @@ paid probe; a retried probe pays again.  This keeps the oracle-budget
 accounting — the currency of Theorems 3.2-3.4 — honest under any fault
 pattern: faults can only *waste* budget, never mint it.
 
-One probe = one fault decision.  A point query is one probe; a columnar
-block (:meth:`query_block` / :meth:`sample_block`) is one probe no
+One probe = one fault decision.  A point query or draw is one probe; a
+columnar block (``query_block`` / ``sample_block``) is one probe no
 matter how many rows it carries, mirroring its single accounting call.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..access.blocks import Sample, SampleBlock
 from ..errors import ProbeFailureError, ProbeTimeoutError
 from ..knapsack.items import Item
 from ..obs import runtime as _obs
+from .layer import ProbeLayer
 from .plan import FaultStream
 
-__all__ = ["FaultyOracle", "FaultySampler"]
+__all__ = ["FaultyAccess"]
 
 
-class _FaultCounters:
-    """Shared bookkeeping for both injectors."""
+class FaultyAccess(ProbeLayer):
+    """Decorate an oracle or a sampler with injected faults.
 
-    def __init__(self) -> None:
-        self.probes = 0
-        self.probe_failures = 0
-        self.timeouts = 0
-        self.corruptions = 0
-        self.latency_injected_s = 0.0
-
-
-class FaultyOracle:
-    """Decorate a :class:`~repro.access.QueryOracle` with injected faults.
+    A wrapped sampler draws from the *algorithm's* generator exactly as
+    it would unwrapped (a lost response still consumed those draws —
+    they are gone, like the budget that paid for them), while fault
+    coins come from the plan's own stream.
 
     Parameters
     ----------
-    oracle:
-        The real oracle; all accounting (budget, log, cache) lives there.
+    inner:
+        The real access object; all accounting (budget, log, cache)
+        lives there.
     stream:
         A :meth:`~repro.faults.FaultPlan.stream` for this resource.
     timeout_s:
         Per-probe timeout; an injected latency spike above it raises
         :class:`~repro.errors.ProbeTimeoutError` (still charged).
         ``None`` means spikes only accumulate virtual latency.
+
+    The fault bookkeeping is public: ``probes`` (decisions taken),
+    ``probe_failures`` and ``timeouts`` (charged probes whose response
+    was lost), ``corruptions`` (responses silently perturbed) and
+    ``latency_injected_s`` (total virtual latency of spikes below the
+    timeout).
     """
 
     def __init__(
-        self, oracle, stream: FaultStream, *, timeout_s: float | None = None
+        self, inner, stream: FaultStream, *, timeout_s: float | None = None
     ) -> None:
-        self._inner = oracle
+        super().__init__(inner)
         self._stream = stream
         self._timeout_s = timeout_s
-        self._counters = _FaultCounters()
+        self.probes = 0
+        self.probe_failures = 0
+        self.timeouts = 0
+        self.corruptions = 0
+        self.latency_injected_s = 0.0
 
-    # -- delegation ----------------------------------------------------
-    @property
-    def inner(self):
-        """The wrapped oracle."""
-        return self._inner
+    def _probe(self, resource, probe, call):
+        """Run the charged probe, then the fault gate; scale the profit
+        of a corrupted response."""
+        value = call()
+        factor = self._inject(f"{resource}.{probe}")
+        if factor is None:
+            return value
+        if isinstance(value, SampleBlock):
+            return SampleBlock(value.indices, value.profits * factor, value.weights)
+        if isinstance(value, Sample):
+            return Sample(value.index, Item(value.item.profit * factor, value.item.weight))
+        return Item(value.profit * factor, value.weight)
 
-    @property
-    def n(self) -> int:
-        return self._inner.n
+    def _inject(self, probe: str) -> float | None:
+        """Post-charge fault gate; return a corruption factor or None.
 
-    @property
-    def capacity(self) -> float:
-        return self._inner.capacity
-
-    @property
-    def budget(self) -> int | None:
-        return self._inner.budget
-
-    @property
-    def remaining(self) -> int | None:
-        return self._inner.remaining
-
-    @property
-    def queries_used(self) -> int:
-        return self._inner.queries_used
-
-    @property
-    def cost_counter(self) -> int:
-        return self._inner.cost_counter
-
-    @property
-    def log(self) -> list[int]:
-        return self._inner.log
-
-    def distinct_queried(self) -> set[int]:
-        return self._inner.distinct_queried()
-
-    def reset(self) -> None:
-        """Reset the inner accounting (the fault stream keeps advancing)."""
-        self._inner.reset()
-
-    # -- fault bookkeeping ---------------------------------------------
-    @property
-    def probes(self) -> int:
-        """Probes that went through this decorator."""
-        return self._counters.probes
-
-    @property
-    def probe_failures(self) -> int:
-        """Charged probes whose response was lost."""
-        return self._counters.probe_failures
-
-    @property
-    def timeouts(self) -> int:
-        """Charged probes lost to an injected-latency timeout."""
-        return self._counters.timeouts
-
-    @property
-    def corruptions(self) -> int:
-        """Probes whose response was silently perturbed."""
-        return self._counters.corruptions
-
-    @property
-    def latency_injected_s(self) -> float:
-        """Total virtual latency injected (spikes below the timeout)."""
-        return self._counters.latency_injected_s
-
-    def _inject(self, probe: str):
-        """Post-charge fault gate; returns the corruption factor or None."""
-        return _inject(self._stream, self._counters, probe, self._timeout_s)
-
-    # -- the probe interface -------------------------------------------
-    def query(self, i: int) -> Item:
-        """Reveal item ``i`` (charged), then maybe lose or corrupt it."""
-        item = self._inner.query(i)
-        factor = self._inject("oracle.query")
-        if factor is not None:
-            return Item(item.profit * factor, item.weight)
-        return item
-
-    def query_many(self, indices) -> list[Item]:
-        """Per-index probes, one fault decision each."""
-        return [self.query(int(i)) for i in indices]
-
-    def query_block(self, indices) -> SampleBlock:
-        """One columnar reveal = one probe = one fault decision."""
-        block = self._inner.query_block(indices)
-        factor = self._inject("oracle.query_block")
-        if factor is not None:
-            return SampleBlock(block.indices, block.profits * factor, block.weights)
-        return block
-
-    def profit(self, i: int) -> float:
-        return self.query(i).profit
-
-    def weight(self, i: int) -> float:
-        return self.query(i).weight
-
-
-class FaultySampler:
-    """Decorate a weighted sampler with injected faults.
-
-    Wraps :class:`~repro.access.WeightedSampler` or
-    :class:`~repro.access.CustomSampler`; the inner sampler draws from
-    the *algorithm's* generator exactly as it would unwrapped (a lost
-    response still consumed those draws — they are gone, like the budget
-    that paid for them), while fault coins come from the plan's own
-    stream.
-    """
-
-    def __init__(
-        self, sampler, stream: FaultStream, *, timeout_s: float | None = None
-    ) -> None:
-        self._inner = sampler
-        self._stream = stream
-        self._timeout_s = timeout_s
-        self._counters = _FaultCounters()
-
-    # -- delegation ----------------------------------------------------
-    @property
-    def inner(self):
-        """The wrapped sampler."""
-        return self._inner
-
-    @property
-    def n(self) -> int:
-        return self._inner.n
-
-    @property
-    def capacity(self) -> float:
-        return self._inner.capacity
-
-    @property
-    def budget(self) -> int | None:
-        return self._inner.budget
-
-    @property
-    def samples_used(self) -> int:
-        return self._inner.samples_used
-
-    @property
-    def blocks_used(self) -> int:
-        return self._inner.blocks_used
-
-    @property
-    def cost_counter(self) -> int:
-        return self._inner.cost_counter
-
-    def reset(self) -> None:
-        """Reset the inner accounting (the fault stream keeps advancing)."""
-        self._inner.reset()
-
-    # -- fault bookkeeping (same faces as FaultyOracle) ----------------
-    @property
-    def probes(self) -> int:
-        return self._counters.probes
-
-    @property
-    def probe_failures(self) -> int:
-        return self._counters.probe_failures
-
-    @property
-    def timeouts(self) -> int:
-        return self._counters.timeouts
-
-    @property
-    def corruptions(self) -> int:
-        return self._counters.corruptions
-
-    @property
-    def latency_injected_s(self) -> float:
-        return self._counters.latency_injected_s
-
-    # -- the probe interface -------------------------------------------
-    def sample(self, rng: np.random.Generator) -> Sample:
-        """One charged draw, then the fault gate."""
-        s = self._inner.sample(rng)
-        factor = _inject(self._stream, self._counters, "sampler.sample", self._timeout_s)
-        if factor is not None:
-            return Sample(s.index, Item(s.item.profit * factor, s.item.weight))
-        return s
-
-    def sample_block(self, m: int, rng: np.random.Generator) -> SampleBlock:
-        """One charged block = one probe = one fault decision."""
-        block = self._inner.sample_block(m, rng)
-        factor = _inject(
-            self._stream, self._counters, "sampler.sample_block", self._timeout_s
-        )
-        if factor is not None:
-            return SampleBlock(block.indices, block.profits * factor, block.weights)
-        return block
-
-    def sample_many(self, m: int, rng: np.random.Generator) -> list[Sample]:
-        """Batch face over :meth:`sample_block` (single fault decision)."""
-        return self.sample_block(m, rng).to_samples()
-
-
-def _inject(
-    stream: FaultStream, counters: _FaultCounters, probe: str, timeout_s: float | None
-) -> float | None:
-    """Run the post-charge fault gate; return a corruption factor or None.
-
-    Raises the transient fault errors; every path records itself in the
-    process-global metrics registry so chaos sweeps show up in
-    ``repro metrics`` next to the cost counters.
-    """
-    decision = stream.decide()
-    counters.probes += 1
-    if decision.fail:
-        counters.probe_failures += 1
-        _obs.record_fault("probe_failures")
-        _obs.record_event("fault.probe_failure", probe=probe)
-        raise ProbeFailureError(probe)
-    if decision.latency_s > 0.0:
-        if timeout_s is not None and decision.latency_s > timeout_s:
-            counters.timeouts += 1
-            _obs.record_fault("timeouts")
-            _obs.record_event("fault.timeout", probe=probe)
-            raise ProbeTimeoutError(probe, decision.latency_s, timeout_s)
-        counters.latency_injected_s += decision.latency_s
-        _obs.record_fault("latency_spikes")
-        _obs.record_event("fault.latency_spike", probe=probe)
-    if decision.corrupt:
-        counters.corruptions += 1
-        _obs.record_fault("corruptions")
-        _obs.record_event("fault.corruption", probe=probe)
-        return decision.corruption_factor
-    return None
+        Raises the transient fault errors; every path records itself in
+        the process-global metrics registry so chaos sweeps show up in
+        ``repro metrics`` next to the cost counters.
+        """
+        decision = self._stream.decide()
+        self.probes += 1
+        if decision.fail:
+            self.probe_failures += 1
+            _obs.record_fault("probe_failures")
+            _obs.record_event("fault.probe_failure", probe=probe)
+            raise ProbeFailureError(probe)
+        if decision.latency_s > 0.0:
+            timeout_s = self._timeout_s
+            if timeout_s is not None and decision.latency_s > timeout_s:
+                self.timeouts += 1
+                _obs.record_fault("timeouts")
+                _obs.record_event("fault.timeout", probe=probe)
+                raise ProbeTimeoutError(probe, decision.latency_s, timeout_s)
+            self.latency_injected_s += decision.latency_s
+            _obs.record_fault("latency_spikes")
+            _obs.record_event("fault.latency_spike", probe=probe)
+        if decision.corrupt:
+            self.corruptions += 1
+            _obs.record_fault("corruptions")
+            _obs.record_event("fault.corruption", probe=probe)
+            return decision.corruption_factor
+        return None

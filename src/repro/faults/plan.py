@@ -95,8 +95,12 @@ class FaultPlan:
         (:class:`~repro.errors.ProbeTimeoutError`).
     corruption_rate, corruption_scale:
         Probability that a probe's response comes back with profits
-        multiplied by a factor in ``[1 - scale, 1 + scale]`` (silent —
-        not detectable, hence not retryable; chaos reports count it).
+        multiplied by a factor in ``[1 - scale, 1 + scale]``.  Silent
+        by default (chaos reports count it); a
+        :class:`~repro.faults.audit.ProbeAuditor` under a retry policy
+        (``probe_audit=True`` on the service) detects a delivery whose
+        perturbed efficiency leaves the plausible range and re-probes
+        it like a lost one.
     shard_kill_rate, shard_kill_attempts:
         Probability that a process-pool shard attempt is killed outright
         (``os._exit`` in the child => ``BrokenProcessPool`` in the

@@ -16,24 +16,19 @@ clock, no global RNG).  Three invariants:
   error is wrapped in :class:`~repro.errors.RetriesExhaustedError`
   (still a :class:`~repro.errors.FaultInjectionError`, so the serving
   layer's degradation ladder catches it);
-* **virtual time** — backoff is accumulated, not slept, unless the
-  policy opts into real sleeping; chaos sweeps stay deterministic and
-  fast.
+* **virtual time** — backoff is accumulated, never slept; chaos sweeps
+  stay deterministic and fast.
 
-:class:`RetryingOracle` / :class:`RetryingSampler` apply the policy to
-every probe of a wrapped access object, so :class:`~repro.core.LCAKP`
-gains retries without knowing they exist.
+:class:`RetryingAccess` applies the policy to every probe of a wrapped
+access object, so :class:`~repro.core.LCAKP` gains retries without
+knowing they exist.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
-import numpy as np
-
-from ..access.blocks import Sample, SampleBlock
 from ..access.seeds import SeedChain
 from ..errors import (
     CorruptProbeError,
@@ -43,11 +38,11 @@ from ..errors import (
     ReproError,
     RetriesExhaustedError,
 )
-from ..knapsack.items import Item
 from ..obs import runtime as _obs
 from .audit import ProbeAuditor
+from .layer import ProbeLayer
 
-__all__ = ["TRANSIENT_FAULTS", "RetryOutcome", "RetryPolicy", "RetryingOracle", "RetryingSampler"]
+__all__ = ["TRANSIENT_FAULTS", "RetryOutcome", "RetryPolicy", "RetryingAccess"]
 
 #: Fault errors a retry may recover from.  Budget exhaustion is absent on
 #: purpose: a re-probe cannot un-spend the budget.  A detected corruption
@@ -103,9 +98,6 @@ class RetryPolicy:
         function of the seeded fault plan.  ``None`` disables.
     seed:
         Root of the jitter seed chain.
-    sleep:
-        When true, backoff really sleeps (production posture); tests and
-        chaos sweeps keep the default virtual backoff.
     """
 
     max_retries: int = 3
@@ -115,7 +107,6 @@ class RetryPolicy:
     probe_timeout_s: float | None = None
     hedge_after_s: float | None = None
     seed: int = 0
-    sleep: bool = False
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -184,8 +175,6 @@ class RetryPolicy:
                     # consume the retry budget.  One hedge per probe.
                     hedges += 1
                     backoff += hedge
-                    if self.sleep:
-                        time.sleep(hedge)
                     continue
                 retries += 1
                 if retries > self.max_retries:
@@ -194,8 +183,6 @@ class RetryPolicy:
                     ) from exc
                 delay = self.backoff_s(labels, retries)
                 backoff += delay
-                if self.sleep:
-                    time.sleep(delay)
                 continue
             if start is not None and hedges == 0:
                 primary_latency = probe_latency() - start
@@ -227,16 +214,30 @@ class RetryPolicy:
             )
 
 
-class _RetryingBase:
-    """Shared plumbing: per-call labels, retry/backoff accounting, and
-    the optional delivered-value plausibility audit."""
+class RetryingAccess(ProbeLayer):
+    """Apply a :class:`RetryPolicy` to every probe of an oracle or sampler.
+
+    Each probe runs under :meth:`RetryPolicy.execute` with labels
+    ``(resource, probe, calls)``, where ``calls`` counts this layer's
+    probes.  With ``audit`` set, every delivered item or block also
+    passes a :class:`~repro.faults.audit.ProbeAuditor` plausibility
+    check *inside* the retried call, so an implausible delivery triggers
+    a fresh (re-charged) probe exactly like a lost one.
+
+    A retried draw calls the inner sampler again with the *same*
+    generator, consuming fresh values: the lost draws are gone (like the
+    budget that paid for them), and the run proceeds with new samples.
+    The run remains a perfectly valid stateless LCA run — fresh samples
+    are arbitrary by Definition 2.5 — but under nonzero fault rates two
+    runs sharing a nonce may no longer be bit-identical; see
+    ``docs/robustness.md`` for the consistency ladder.
+    """
 
     def __init__(
-        self, inner, policy: RetryPolicy, kind: str, audit: ProbeAuditor | None = None
+        self, inner, policy: RetryPolicy, *, audit: ProbeAuditor | None = None
     ) -> None:
-        self._inner = inner
+        super().__init__(inner)
         self._policy = policy
-        self._kind = kind
         self._audit = audit
         self._calls = 0
         self._retries = 0
@@ -246,14 +247,9 @@ class _RetryingBase:
         # Hedging reads the injector's cumulative virtual latency to
         # tell slow probes from fast ones; without an injector below us
         # there is no latency concept and hedging is inert.
-        self._probe_latency = None
-        if policy.hedge_after_s is not None and hasattr(inner, "latency_injected_s"):
-            self._probe_latency = lambda: float(inner.latency_injected_s)
-
-    @property
-    def inner(self):
-        """The wrapped access object (possibly itself a fault injector)."""
-        return self._inner
+        self._hedging = policy.hedge_after_s is not None and hasattr(
+            inner, "latency_injected_s"
+        )
 
     @property
     def policy(self) -> RetryPolicy:
@@ -272,7 +268,7 @@ class _RetryingBase:
 
     @property
     def backoff_s(self) -> float:
-        """Total (virtual or slept) backoff accumulated."""
+        """Total virtual backoff accumulated."""
         return self._backoff_s
 
     @property
@@ -285,18 +281,29 @@ class _RetryingBase:
         """Virtual tail latency cut by backups that beat slow primaries."""
         return self._latency_saved_s
 
-    def _run(self, fn: Callable[[], Any], probe: str) -> Any:
+    def _latency(self) -> float:
+        return float(self._inner.latency_injected_s)
+
+    def _probe(self, resource, probe, call):
+        if self._audit is not None:
+            check = (
+                self._audit.check_block
+                if probe.endswith("_block")
+                else self._audit.check_item
+            )
+            raw = call
+            call = lambda: check(raw(), probe)
         self._calls += 1
         try:
             outcome = self._policy.execute(
-                fn,
-                labels=(self._kind, probe, self._calls),
-                probe_latency=self._probe_latency,
+                call,
+                labels=(resource, probe, self._calls),
+                probe_latency=self._latency if self._hedging else None,
             )
         except RetriesExhaustedError as exc:
             _obs.record_event(
                 "retry.exhausted",
-                resource=self._kind,
+                resource=resource,
                 probe=probe,
                 attempts=exc.attempts,
                 reason=getattr(exc.last_error, "reason_code", "unknown"),
@@ -308,7 +315,7 @@ class _RetryingBase:
             _obs.record_probe_retries(outcome.retries)
             _obs.record_event(
                 "retry.recovered",
-                resource=self._kind,
+                resource=resource,
                 probe=probe,
                 retries=outcome.retries,
             )
@@ -320,137 +327,8 @@ class _RetryingBase:
             _obs.record_probe_hedges(outcome.hedges)
             _obs.record_event(
                 "retry.hedged",
-                resource=self._kind,
+                resource=resource,
                 probe=probe,
                 hedges=outcome.hedges,
             )
         return outcome.value
-
-    def _audited_item(self, fn: Callable[[], Any], probe: str) -> Callable[[], Any]:
-        """Wrap ``fn`` so the delivered item passes the audit *inside*
-        the retried callable — a violation triggers a fresh (re-charged)
-        probe, exactly like a lost response."""
-        if self._audit is None:
-            return fn
-        audit = self._audit
-        return lambda: audit.check_item(fn(), probe)
-
-    def _audited_block(self, fn: Callable[[], Any], probe: str) -> Callable[[], Any]:
-        """Block-valued variant of :meth:`_audited_item`."""
-        if self._audit is None:
-            return fn
-        audit = self._audit
-        return lambda: audit.check_block(fn(), probe)
-
-    # Accounting passthroughs shared by both resources.
-    @property
-    def n(self) -> int:
-        return self._inner.n
-
-    @property
-    def capacity(self) -> float:
-        return self._inner.capacity
-
-    @property
-    def budget(self) -> int | None:
-        return self._inner.budget
-
-    @property
-    def cost_counter(self) -> int:
-        return self._inner.cost_counter
-
-    def reset(self) -> None:
-        """Reset the inner accounting; retry counters persist."""
-        self._inner.reset()
-
-
-class RetryingOracle(_RetryingBase):
-    """Apply a :class:`RetryPolicy` to every probe of an oracle.
-
-    With ``audit`` set, every delivered item/block additionally passes a
-    :class:`~repro.faults.audit.ProbeAuditor` plausibility check before
-    being trusted; an implausible delivery retries like a lost one.
-    """
-
-    def __init__(
-        self, oracle, policy: RetryPolicy, *, audit: ProbeAuditor | None = None
-    ) -> None:
-        super().__init__(oracle, policy, "oracle", audit)
-
-    @property
-    def queries_used(self) -> int:
-        return self._inner.queries_used
-
-    @property
-    def remaining(self) -> int | None:
-        return self._inner.remaining
-
-    @property
-    def log(self) -> list[int]:
-        return self._inner.log
-
-    def distinct_queried(self) -> set[int]:
-        return self._inner.distinct_queried()
-
-    def query(self, i: int) -> Item:
-        return self._run(
-            self._audited_item(lambda: self._inner.query(i), "query"), "query"
-        )
-
-    def query_many(self, indices) -> list[Item]:
-        return [self.query(int(i)) for i in indices]
-
-    def query_block(self, indices) -> SampleBlock:
-        idx = [int(i) for i in indices]
-        return self._run(
-            self._audited_block(lambda: self._inner.query_block(idx), "query_block"),
-            "query_block",
-        )
-
-    def profit(self, i: int) -> float:
-        return self.query(i).profit
-
-    def weight(self, i: int) -> float:
-        return self.query(i).weight
-
-
-class RetryingSampler(_RetryingBase):
-    """Apply a :class:`RetryPolicy` to every probe of a sampler.
-
-    A retried draw calls the inner sampler again with the *same*
-    generator, consuming fresh values: the lost draws are gone (like the
-    budget that paid for them), and the run proceeds with new samples.
-    The run remains a perfectly valid stateless LCA run — fresh samples
-    are arbitrary by Definition 2.5 — but under nonzero fault rates two
-    runs sharing a nonce may no longer be bit-identical; see
-    ``docs/robustness.md`` for the consistency ladder.
-    """
-
-    def __init__(
-        self, sampler, policy: RetryPolicy, *, audit: ProbeAuditor | None = None
-    ) -> None:
-        super().__init__(sampler, policy, "sampler", audit)
-
-    @property
-    def samples_used(self) -> int:
-        return self._inner.samples_used
-
-    @property
-    def blocks_used(self) -> int:
-        return self._inner.blocks_used
-
-    def sample(self, rng: np.random.Generator) -> Sample:
-        return self._run(
-            self._audited_item(lambda: self._inner.sample(rng), "sample"), "sample"
-        )
-
-    def sample_block(self, m: int, rng: np.random.Generator) -> SampleBlock:
-        return self._run(
-            self._audited_block(
-                lambda: self._inner.sample_block(m, rng), "sample_block"
-            ),
-            "sample_block",
-        )
-
-    def sample_many(self, m: int, rng: np.random.Generator) -> list[Sample]:
-        return self.sample_block(m, rng).to_samples()

@@ -374,7 +374,6 @@ def validate_metrics_snapshot(doc: dict) -> dict:
 _CLOCKS = ("wall", "virtual")
 _TIMELINE_LEDGERS = ("offered", "completed", "dropped", "degraded")
 _TIMELINE_TICK_INTS = ("queue_depth", "inflight", "brownout_level") + _TIMELINE_LEDGERS
-_BREAKER_STATES = (None, "closed", "half_open", "open")
 
 
 def validate_timeline(doc: dict) -> dict:
@@ -409,8 +408,6 @@ def validate_timeline(doc: dict) -> dict:
         for key in _TIMELINE_TICK_INTS:
             _require(entry, key, int, problems, where, nonneg=True)
         _require(entry, "queue_wait_ms", _NUM, problems, where, nonneg=True)
-        _check_value(entry.get("breaker_state"), (str, type(None)), problems,
-                     f"{where}breaker_state", choices=_BREAKER_STATES)
 
     def column(key):
         return [(f"{where}{key}", entry.get(key)) for where, entry in entries]

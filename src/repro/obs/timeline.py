@@ -4,19 +4,17 @@ Everything the observability stack records today is an end-of-run
 aggregate — counters, histograms, a flight-recorder event stream.  The
 paper's claims, though, are *trajectory* claims: brownout levels step
 up and back down as queueing pressure crosses the controller's
-hysteresis bands, breaker state flips as failures accumulate, and the
-Section 3 impossibility results bite exactly *when* the queue outruns
-the worker pool.  :class:`TimelineSampler` captures that trajectory as
-a bounded ring of tick samples:
+hysteresis bands, and the Section 3 impossibility results bite exactly
+*when* the queue outruns the worker pool.  :class:`TimelineSampler`
+captures that trajectory as a bounded ring of tick samples:
 
 * **counter deltas** — what changed in the
   :class:`~repro.obs.metrics.MetricsRegistry` since the previous tick
   (only non-zero deltas are stored, so an idle registry costs nothing);
 * **gauge levels** — current values of every registered gauge;
 * **governor state** — queue depth, head-of-queue wait, inflight
-  workers, brownout level, breaker state, and the cumulative
-  offered/completed/dropped/degraded ledgers the availability story is
-  told from.
+  workers, brownout level, and the cumulative offered/completed/
+  dropped/degraded ledgers the availability story is told from.
 
 Two clock regimes, same discipline as ``bench-load/v1``:
 
@@ -36,8 +34,8 @@ parent folds the shipped :meth:`state` back with :meth:`merge_state` —
 only the attempt that answered each shard, through the same
 ``obs_state`` path that merges the registry and trace (failed attempts
 ship nothing home, exactly like their cost bills).  Merge semantics per
-tick index: counter deltas and occupancy counts **add**, brownout level and gauges take the **max**,
-breaker state takes the **worst** — so K shard timelines merge into
+tick index: counter deltas and occupancy counts **add**, brownout
+level and gauges take the **max** — so K shard timelines merge into
 the timeline one process observing all K streams would have recorded.
 """
 
@@ -50,9 +48,6 @@ from ..errors import ReproError
 __all__ = ["TIMELINE_SCHEMA", "TimelineSampler", "merge_timeline_states"]
 
 TIMELINE_SCHEMA = "timeline/v1"
-
-#: Worst-first ordering for breaker state merges.
-_BREAKER_RANK = {None: 0, "closed": 1, "half_open": 2, "open": 3}
 
 _CLOCK_DEFAULT_TICK_S = {"virtual": 0.05, "wall": 0.25}
 
@@ -78,10 +73,6 @@ def _merge_samples(into: dict, other: dict) -> None:
     into["brownout_level"] = max(
         int(into.get("brownout_level", 0)), int(other.get("brownout_level", 0))
     )
-    if _BREAKER_RANK.get(other.get("breaker_state"), 0) > _BREAKER_RANK.get(
-        into.get("breaker_state"), 0
-    ):
-        into["breaker_state"] = other["breaker_state"]
     into["t"] = round(max(float(into.get("t", 0.0)), float(other.get("t", 0.0))), 9)
 
 
@@ -163,7 +154,6 @@ class TimelineSampler:
         queue_wait_s: float = 0.0,
         inflight: int = 0,
         brownout_level: int = 0,
-        breaker_state: str | None = None,
         offered: int = 0,
         completed: int = 0,
         dropped: int = 0,
@@ -198,7 +188,6 @@ class TimelineSampler:
             "queue_wait_ms": round(float(queue_wait_s) * 1e3, 4),
             "inflight": int(inflight),
             "brownout_level": int(brownout_level),
-            "breaker_state": breaker_state,
             "offered": int(offered),
             "completed": int(completed),
             "dropped": int(dropped),
@@ -307,9 +296,9 @@ class TimelineSampler:
         """Fold one shard's :meth:`state` into this sampler, tick-for-tick.
 
         Samples align on their ``tick`` index: deltas and occupancy add,
-        levels take the max, breaker state takes the worst — see the
-        module docstring for why a merged timeline equals the timeline
-        of one process that observed every stream.
+        levels take the max — see the module docstring for why a merged
+        timeline equals the timeline of one process that observed every
+        stream.
         """
         by_tick = {int(s["tick"]): s for s in self._ring}
         for other in state.get("ticks", ()):
@@ -325,7 +314,6 @@ class TimelineSampler:
                     "queue_wait_ms": round(float(other.get("queue_wait_ms", 0.0)), 4),
                     "inflight": int(other.get("inflight", 0)),
                     "brownout_level": int(other.get("brownout_level", 0)),
-                    "breaker_state": other.get("breaker_state"),
                     "offered": int(other.get("offered", 0)),
                     "completed": int(other.get("completed", 0)),
                     "dropped": int(other.get("dropped", 0)),

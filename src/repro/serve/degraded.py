@@ -46,7 +46,6 @@ DEGRADED_REASON_CODES = (
     "shard-failure",
     "fault-injected",
     "deadline-exceeded",
-    "breaker-open",
     "brownout",
     "watchdog-timeout",
     "unrecoverable",

@@ -14,22 +14,16 @@ deterministic, in the repo's seeded/virtual-clock idiom:
   depth and recent dispatch wait that steps the existing degradation
   ladder (full → any-nonce cache → greedy → shed) *before* the queue
   overflows, trading bounded quality for availability exactly as
-  Section 4 trades approximation slack for probe complexity;
-* :class:`CircuitBreaker` — closed/open/half-open fail-fast around
-  faulty oracles/samplers with a virtual-time cool-down.  Budget-honest
-  by construction: tripping never un-charges the probes whose failures
-  tripped it, and an open breaker refuses probes *before* they are
-  billed (:class:`~repro.errors.CircuitOpenError` is absorbed by the
-  degradation ladder, never retried).
+  Section 4 trades approximation slack for probe complexity.
 
-The stuck-shard watchdog — the fourth mechanism — lives in
+The stuck-shard watchdog — the third mechanism — lives in
 :mod:`repro.serve.service` (it needs the process-pool internals); the
-state machines here are what ``docs/robustness.md`` documents.
+state machine here is what ``docs/robustness.md`` documents.
 
-Every state machine is a pure function of its observation sequence —
-no wall clock, no RNG — so a virtual-clock overload sweep replays
-byte-identically (the CI ``overload-smoke`` contract).  The brownout
-controller is additionally *monotone*: an observation sequence that is
+The brownout controller is a pure function of its observation
+sequence — no wall clock, no RNG — so a virtual-clock overload sweep
+replays byte-identically (the CI ``overload-smoke`` contract).  It is
+additionally *monotone*: an observation sequence that is
 pointwise at least as pressured never yields a lower degradation level
 (the hypothesis property test in ``tests/load/test_overload.py``).
 """
@@ -37,26 +31,11 @@ pointwise at least as pressured never yields a lower degradation level
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from ..errors import (
-    CircuitOpenError,
-    FaultInjectionError,
-    QueryBudgetExceededError,
-    ReproError,
-)
+from ..errors import ReproError
 from ..obs import runtime as _obs
 
-__all__ = [
-    "BROWNOUT_LEVELS",
-    "BreakerConfig",
-    "BrownoutConfig",
-    "BrownoutController",
-    "CircuitBreaker",
-    "GuardedOracle",
-    "GuardedSampler",
-    "guard_access",
-]
+__all__ = ["BROWNOUT_LEVELS", "BrownoutConfig", "BrownoutController"]
 
 #: The degradation ladder as brownout rungs, mildest first.  Level 0
 #: serves the honest Theorem 4.1 path; levels 1-2 reuse the reason-coded
@@ -197,243 +176,3 @@ class BrownoutController:
             self._hot = 0
             self._cool = 0
         return self._level
-
-
-# ----------------------------------------------------------------------
-# Circuit breaker: closed / open / half-open, virtual-time cool-down
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class BreakerConfig:
-    """Thresholds of the circuit breaker (frozen, picklable: process
-    shards ship the config across the pool boundary and build their own
-    breaker — breaker state, like fault coins, is per-attempt).
-
-    Parameters
-    ----------
-    failure_threshold:
-        Consecutive unrecovered probe failures (a retried-then-recovered
-        probe resets the streak) that trip the breaker open.
-    cooldown_s:
-        Virtual seconds the breaker stays open before admitting one
-        half-open trial probe.
-    tick_s:
-        Without an external clock the breaker keeps its own virtual
-        time, advancing ``tick_s`` per admission attempt — cool-down is
-        then measured in probe traffic, deterministic by construction.
-    """
-
-    failure_threshold: int = 5
-    cooldown_s: float = 0.05
-    tick_s: float = 0.001
-
-    def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
-            raise ReproError(
-                f"failure_threshold must be >= 1, got {self.failure_threshold}"
-            )
-        if self.cooldown_s <= 0:
-            raise ReproError(f"cooldown_s must be > 0, got {self.cooldown_s}")
-        if self.tick_s <= 0:
-            raise ReproError(f"tick_s must be > 0, got {self.tick_s}")
-
-
-class CircuitBreaker:
-    """Fail-fast gate over one unreliable probe resource.
-
-    Closed: probes pass; each unrecovered failure grows a streak, and
-    ``failure_threshold`` consecutive failures trip the breaker open.
-    Open: probes are refused *before* executing
-    (:class:`~repro.errors.CircuitOpenError`; nothing billed) until
-    ``cooldown_s`` of (virtual) time passes.  Half-open: exactly one
-    trial probe is admitted — success closes the breaker, failure
-    re-opens it for another cool-down.
-
-    Budget honesty: the breaker never un-charges anything.  Probes that
-    failed while closed were charged (charge-then-lose, like every
-    fault); probes refused while open were never issued, so nothing is
-    charged — an open breaker converts probe spend into fast
-    reason-coded degradation, it does not refund it.
-    """
-
-    __slots__ = (
-        "_config", "_resource", "_clock", "_now",
-        "_state", "_failures", "_open_until", "opens", "shed",
-    )
-
-    def __init__(
-        self,
-        config: BreakerConfig | None = None,
-        *,
-        resource: str = "probe",
-        clock: Callable[[], float] | None = None,
-    ) -> None:
-        self._config = config or BreakerConfig()
-        self._resource = resource
-        self._clock = clock
-        self._now = 0.0
-        self._state = "closed"
-        self._failures = 0
-        self._open_until = 0.0
-        self.opens = 0
-        self.shed = 0
-
-    @property
-    def config(self) -> BreakerConfig:
-        """The thresholds in force."""
-        return self._config
-
-    @property
-    def state(self) -> str:
-        """``"closed"``, ``"open"`` or ``"half_open"``."""
-        return self._state
-
-    @property
-    def failures(self) -> int:
-        """Current consecutive-failure streak."""
-        return self._failures
-
-    @property
-    def now_s(self) -> float:
-        """The breaker's current (virtual) time."""
-        return self._now
-
-    def _tick(self) -> float:
-        if self._clock is not None:
-            t = float(self._clock())
-            if t > self._now:
-                self._now = t
-        else:
-            self._now += self._config.tick_s
-        return self._now
-
-    def admit(self) -> None:
-        """Gate one probe; raises :class:`CircuitOpenError` while open."""
-        now = self._tick()
-        if self._state != "open":
-            return
-        if now < self._open_until:
-            self.shed += 1
-            _obs.REGISTRY.counter("overload.breaker_shed").inc()
-            raise CircuitOpenError(self._resource, self._open_until)
-        self._state = "half_open"
-        _obs.record_event("breaker.half_open", resource=self._resource)
-
-    def record_success(self) -> None:
-        """The admitted probe succeeded: close and clear the streak."""
-        if self._state == "half_open":
-            _obs.record_event("breaker.closed", resource=self._resource)
-        self._state = "closed"
-        self._failures = 0
-
-    def stats(self) -> dict:
-        """JSON-ready breaker accounting."""
-        return {
-            "resource": self._resource,
-            "state": self._state,
-            "failures": self._failures,
-            "opens": self.opens,
-            "shed": self.shed,
-        }
-
-    def record_failure(self) -> None:
-        """The admitted probe failed (after its own retries, if any)."""
-        self._failures += 1
-        if self._state == "half_open" or self._failures >= self._config.failure_threshold:
-            self._state = "open"
-            self._failures = 0
-            self._open_until = self._now + self._config.cooldown_s
-            self.opens += 1
-            _obs.REGISTRY.counter("overload.breaker_open").inc()
-            _obs.record_event(
-                "breaker.open",
-                resource=self._resource,
-                until_s=round(self._open_until, 6),
-            )
-
-
-class _GuardedBase:
-    """Shared plumbing: breaker gate around every probe of a wrapped
-    access object (typically the retry wrapper — retries happen *inside*
-    one admitted probe, so a recovered retry is a breaker success and an
-    exhausted one is a single breaker failure)."""
-
-    def __init__(self, inner, breaker: CircuitBreaker) -> None:
-        self._inner = inner
-        self._breaker = breaker
-
-    @property
-    def inner(self):
-        """The wrapped access object."""
-        return self._inner
-
-    @property
-    def breaker(self) -> CircuitBreaker:
-        """The shared circuit breaker."""
-        return self._breaker
-
-    def _run(self, fn: Callable[[], object]):
-        self._breaker.admit()
-        try:
-            value = fn()
-        except QueryBudgetExceededError:
-            # Budget exhaustion is the caller's resource running dry,
-            # not the backend misbehaving — it never trips the breaker.
-            raise
-        except FaultInjectionError:
-            self._breaker.record_failure()
-            raise
-        self._breaker.record_success()
-        return value
-
-    def __getattr__(self, name: str):
-        # Accounting and configuration faces pass through untouched
-        # (cost_counter, retries_used, budget, reset, ...).
-        return getattr(self._inner, name)
-
-
-class GuardedOracle(_GuardedBase):
-    """Circuit-break every probe of a (possibly retrying) oracle."""
-
-    def query(self, i: int):
-        return self._run(lambda: self._inner.query(i))
-
-    def query_many(self, indices) -> list:
-        return [self.query(int(i)) for i in indices]
-
-    def query_block(self, indices):
-        idx = [int(i) for i in indices]
-        return self._run(lambda: self._inner.query_block(idx))
-
-    def profit(self, i: int) -> float:
-        return self.query(i).profit
-
-    def weight(self, i: int) -> float:
-        return self.query(i).weight
-
-
-class GuardedSampler(_GuardedBase):
-    """Circuit-break every probe of a (possibly retrying) sampler."""
-
-    def sample(self, rng):
-        return self._run(lambda: self._inner.sample(rng))
-
-    def sample_block(self, m: int, rng):
-        return self._run(lambda: self._inner.sample_block(m, rng))
-
-    def sample_many(self, m: int, rng) -> list:
-        return self.sample_block(m, rng).to_samples()
-
-
-def guard_access(sampler, oracle, config: BreakerConfig | None, labels: tuple = ()):
-    """Wrap an access pair in one shared circuit breaker.
-
-    The sampler and oracle share a breaker because they front the same
-    backend: a backend sick enough to trip on samples is not worth
-    querying either.  Returns ``(sampler, oracle, breaker)`` —
-    ``(sampler, oracle, None)`` untouched when ``config`` is ``None``.
-    """
-    if config is None:
-        return sampler, oracle, None
-    resource = "/".join(str(x) for x in labels) or "probe"
-    breaker = CircuitBreaker(config, resource=resource)
-    return GuardedSampler(sampler, breaker), GuardedOracle(oracle, breaker), breaker

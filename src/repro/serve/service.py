@@ -67,9 +67,9 @@ from ..errors import (
     WatchdogTimeoutError,
 )
 from ..faults.audit import ProbeAuditor
-from ..faults.injectors import FaultyOracle, FaultySampler
+from ..faults.injectors import FaultyAccess
 from ..faults.plan import FaultPlan
-from ..faults.retry import RetryingOracle, RetryingSampler, RetryPolicy
+from ..faults.retry import RetryingAccess, RetryPolicy
 from ..knapsack.instance import KnapsackInstance
 from ..knapsack.shm import (
     SharedInstanceHandle,
@@ -81,7 +81,6 @@ from ..obs import runtime as _obs
 from ..obs.trace import span_from_payload, span_to_payload
 from .cache import CacheKey, PipelineCache, instance_fingerprint
 from .degraded import DegradedAnswer, GreedyFallback, reason_code_for
-from .overload import BreakerConfig, guard_access
 
 __all__ = ["BatchReport", "KnapsackService", "derive_worker_nonce"]
 
@@ -116,29 +115,26 @@ class _StackSpec:
     plan: FaultPlan | None
     policy: RetryPolicy | None
     audit_bounds: tuple[float, float] | None
-    breaker_cfg: BreakerConfig | None
 
 
 def _access_stack(instance, sampler, spec: _StackSpec, labels: tuple, audit=None):
     """Wrap one raw sampler and a fresh oracle into ``(sampler, oracle,
-    breaker, lca)``: fault injectors keyed by ``labels``, retries carrying
-    ``audit``, then one breaker OUTSIDE the retries (a streak of
-    retries-exhausted failures is what should trip it).  Everything built
-    here is O(1) in n; the sampler's alias table is shared read-only."""
+    lca)``: fault injectors keyed by ``labels``, then retries carrying
+    ``audit``.  Everything built here is O(1) in n; the sampler's alias
+    table is shared read-only."""
     oracle = QueryOracle(instance)
     plan, policy = spec.plan, spec.policy
     timeout = policy.probe_timeout_s if policy is not None else None
     if plan is not None:
-        sampler = FaultySampler(
+        sampler = FaultyAccess(
             sampler, plan.stream(*labels, "sampler"), timeout_s=timeout
         )
-        oracle = FaultyOracle(
+        oracle = FaultyAccess(
             oracle, plan.stream(*labels, "oracle"), timeout_s=timeout
         )
     if policy is not None:
-        sampler = RetryingSampler(sampler, policy, audit=audit)
-        oracle = RetryingOracle(oracle, policy, audit=audit)
-    sampler, oracle, breaker = guard_access(sampler, oracle, spec.breaker_cfg, labels)
+        sampler = RetryingAccess(sampler, policy, audit=audit)
+        oracle = RetryingAccess(oracle, policy, audit=audit)
     lca = LCAKP(
         sampler,
         oracle,
@@ -148,7 +144,21 @@ def _access_stack(instance, sampler, spec: _StackSpec, labels: tuple, audit=None
         tie_breaking=spec.tie_breaking,
         large_item_mode=spec.large_item_mode,
     )
-    return sampler, oracle, breaker, lca
+    return sampler, oracle, lca
+
+
+def _both(sampler, oracle, name: str):
+    """``name`` summed over an access pair (0 where neither layer has it)."""
+    return getattr(sampler, name, 0) + getattr(oracle, name, 0)
+
+
+def _retry_bill(sampler, oracle) -> tuple:
+    """``(retries, hedges, hedge_latency_saved_s)`` of one access pair
+    (zeros without a retry policy)."""
+    return tuple(
+        _both(sampler, oracle, name)
+        for name in ("retries_used", "hedges_used", "hedge_latency_saved_s")
+    )
 
 
 def _layer(access, kind):
@@ -162,16 +172,16 @@ def _serve_chunk(payload) -> tuple:
     """Process-pool entry: answer one shard in a long-lived pool worker.
 
     Rebuilds the access objects from the payload (a worker keeps no
-    serving state between chunks: no pipeline, sampler or breaker
-    outlives the chunk that built it), applies the shard's fault/retry
-    wiring, and returns the slim answers plus the shard's full bill:
-    ``(answers, samples, queries, blocks, degraded, probe_retries, obs)``
-    where ``obs`` carries the chunk's full observability state — its
-    registry (mergeable histogram buckets, not quantile summaries), its
-    finished ``serve.shard`` span tree (when the parent propagated a
-    trace context), its flight-recorder events and drop count, and its
-    timeline ticks —
-    so the parent can fold the shard's telemetry in exactly, not just
+    serving state between chunks: no pipeline or sampler outlives the
+    chunk that built it), applies the shard's fault/retry wiring, and
+    returns the slim answers plus the shard's full bill:
+    ``(answers, samples, queries, blocks, degraded, retry_bill, obs)``,
+    with ``retry_bill`` the :func:`_retry_bill` triple and ``obs`` the
+    chunk's full observability state — its registry (mergeable
+    histogram buckets, not quantile summaries), its finished
+    ``serve.shard`` span tree (when the parent propagated a trace
+    context), its flight-recorder events and drop count, and its
+    timeline ticks — so the parent can fold the shard's telemetry in exactly, not just
     its cost totals.
 
     The worker resets the global runtime first: a forked worker inherits
@@ -227,9 +237,7 @@ def _serve_chunk(payload) -> tuple:
     else:
         sampler = WeightedSampler(instance)
     setup_s = time.perf_counter() - setup_start
-    # Config only, never breaker *state*: each shard attempt builds its
-    # own breaker, because a circuit is a per-process health verdict.
-    sampler, oracle, _breaker, lca = _access_stack(
+    sampler, oracle, lca = _access_stack(
         instance, sampler, spec, ("shard", nonce, attempt), audit=audit
     )
     degraded = 0
@@ -257,7 +265,6 @@ def _serve_chunk(payload) -> tuple:
                 for i, inc in zip(indices, fallback.decide_many(indices))
             ]
             degraded = len(answers)
-    retries = getattr(sampler, "retries_used", 0) + getattr(oracle, "retries_used", 0)
     root = _obs.TRACER.last_root() if trace_ctx is not None else None
     obs_state = {
         "registry": _obs.REGISTRY.state(),
@@ -279,7 +286,7 @@ def _serve_chunk(payload) -> tuple:
         oracle.cost_counter,
         getattr(sampler, "blocks_used", 0),
         degraded,
-        retries,
+        _retry_bill(sampler, oracle),
         obs_state,
     )
 
@@ -297,6 +304,8 @@ class _ShardTotals:
     runs: int = 0
     degraded: int = 0
     probe_retries: int = 0
+    probe_hedges: int = 0
+    hedge_latency_saved_s: float = 0.0
     shard_retries: int = 0
 
 
@@ -430,17 +439,6 @@ class KnapsackService:
         Answers, probe bills and per-phase obs totals are bit-identical
         to the pickled path.  Call :meth:`close` (or use the service as
         a context manager) to unlink the service's own segment.
-    breaker:
-        Optional :class:`~repro.serve.overload.BreakerConfig` (or
-        ``True`` for defaults): wraps every access stack — the service's
-        own and each shard's — in one shared
-        :class:`~repro.serve.overload.CircuitBreaker` per stack.  A
-        streak of injected-fault failures opens the circuit and
-        subsequent probes fail fast with
-        :class:`~repro.errors.CircuitOpenError` (absorbed by the
-        degradation ladder under ``strict=False``) until the virtual
-        cool-down lapses.  Budget-honest: tripping never un-charges the
-        probes that tripped it.
     shard_deadline_s:
         Optional stuck-shard watchdog deadline (seconds) on process-pool
         shard futures, measured from submission.  A shard that neither
@@ -471,7 +469,6 @@ class KnapsackService:
         max_staleness: int | None = None,
         probe_audit: bool = False,
         shared_instance: bool | SharedInstanceStore = False,
-        breaker: BreakerConfig | bool | None = None,
         shard_deadline_s: float | None = None,
     ) -> None:
         if executor not in ("thread", "process"):
@@ -541,17 +538,16 @@ class KnapsackService:
             plan=fault_plan,
             policy=retry_policy,
             audit_bounds=audit_bounds,
-            breaker_cfg=BreakerConfig() if breaker is True else (breaker or None),
         )
-        self._sampler, self._oracle, self._breaker, self._lca = _access_stack(
+        self._sampler, self._oracle, self._lca = _access_stack(
             instance, raw_sampler, spec, ("serve",), audit=self._audit
         )
         # Shards reuse the resolved parameters instead of re-calibrating.
         self._spec = replace(spec, params=self._lca.params)
         if self._shared and executor == "process":
             self._ensure_store()
-        self._faulty_sampler = _layer(self._sampler, FaultySampler)
-        self._faulty_oracle = _layer(self._oracle, FaultyOracle)
+        self._faulty_sampler = _layer(self._sampler, FaultyAccess)
+        self._faulty_oracle = _layer(self._oracle, FaultyAccess)
         if cache is False:
             self._cache: PipelineCache | None = None
         elif cache is None or cache is True:
@@ -564,6 +560,8 @@ class KnapsackService:
         self._extra_queries = 0
         self._extra_blocks = 0
         self._extra_retries = 0
+        self._extra_hedges = 0
+        self._extra_hedge_saved_s = 0.0
         self._degraded_total = 0
         self._requests = _obs.REGISTRY.counter("serve.requests")
         self._batch_size = _obs.REGISTRY.histogram("serve.batch_size")
@@ -656,26 +654,19 @@ class KnapsackService:
     @property
     def retries_used(self) -> int:
         """Budget-charged re-probes performed, including shards."""
-        total = self._extra_retries
-        total += getattr(self._sampler, "retries_used", 0)
-        total += getattr(self._oracle, "retries_used", 0)
-        return total
+        return self._extra_retries + _both(self._sampler, self._oracle, "retries_used")
 
     @property
     def probe_hedges_used(self) -> int:
-        """Backup probes fired by a hedging retry policy (serial path;
-        probe hedges fired inside process shards surface via the merged
-        metrics registry)."""
-        return getattr(self._sampler, "hedges_used", 0) + getattr(
-            self._oracle, "hedges_used", 0
-        )
+        """Backup probes fired by a hedging retry policy, including shards."""
+        return self._extra_hedges + _both(self._sampler, self._oracle, "hedges_used")
 
     @property
     def hedge_latency_saved_s(self) -> float:
         """Virtual tail latency cut by hedged backups beating slow
-        primaries (serial path)."""
-        return getattr(self._sampler, "hedge_latency_saved_s", 0.0) + getattr(
-            self._oracle, "hedge_latency_saved_s", 0.0
+        primaries, including shards."""
+        return self._extra_hedge_saved_s + _both(
+            self._sampler, self._oracle, "hedge_latency_saved_s"
         )
 
     @property
@@ -992,6 +983,8 @@ class KnapsackService:
         self._extra_queries += agg.queries
         self._extra_blocks += agg.blocks
         self._extra_retries += agg.probe_retries
+        self._extra_hedges += agg.probe_hedges
+        self._extra_hedge_saved_s += agg.hedge_latency_saved_s
         if agg.degraded:
             self._note_degraded(agg.degraded)
         # Re-interleave shard answers back into request order.
@@ -1025,7 +1018,7 @@ class KnapsackService:
             if parent_trace is not None:
                 _obs.TRACER.adopt(parent_trace, f"{parent_span}.s{slot}")
             # Fresh accounting and fault coins per shard, shared table.
-            sampler, oracle, _breaker, lca = _access_stack(
+            sampler, oracle, lca = _access_stack(
                 self._instance, WeightedSampler(self._instance, table=self._table),
                 self._spec, ("shard", shard_nonce, 0), audit=self._audit,
             )
@@ -1041,8 +1034,6 @@ class KnapsackService:
                         raise
                     answers = self._degrade(shard, exc)
                     degraded = len(shard)
-            retries = getattr(sampler, "retries_used", 0)
-            retries += getattr(oracle, "retries_used", 0)
             return (
                 answers,
                 sampler.cost_counter,
@@ -1050,7 +1041,7 @@ class KnapsackService:
                 getattr(sampler, "blocks_used", 0),
                 hit,
                 degraded,
-                retries,
+                _retry_bill(sampler, oracle),
                 shard_span,
             )
 
@@ -1072,7 +1063,9 @@ class KnapsackService:
             misses=w - hits,
             runs=sum(1 for r in results if not r[4] and not r[5]),
             degraded=degraded,
-            probe_retries=sum(r[6] for r in results),
+            probe_retries=sum(r[6][0] for r in results),
+            probe_hedges=sum(r[6][1] for r in results),
+            hedge_latency_saved_s=sum(r[6][2] for r in results),
         )
 
     # ------------------------------------------------------------------
@@ -1266,7 +1259,8 @@ class KnapsackService:
                     )
                     todo.append(k)
         answers: list = []
-        samples = queries = blocks = degraded = retries = runs = 0
+        samples = queries = blocks = degraded = retries = hedges = runs = 0
+        saved_s = 0.0
         self._worker_setup_s = []
         self._worker_memory = []
         for k in range(n_shards):
@@ -1282,7 +1276,9 @@ class KnapsackService:
             queries += res[2]
             blocks += res[3]
             degraded += res[4]
-            retries += res[5]
+            retries += res[5][0]
+            hedges += res[5][1]
+            saved_s += res[5][2]
             obs_state = res[6] if len(res) > 6 else None
             self._merge_worker_obs(obs_state)
             if obs_state and "setup_s" in obs_state:
@@ -1300,6 +1296,8 @@ class KnapsackService:
             runs=runs,
             degraded=degraded,
             probe_retries=retries,
+            probe_hedges=hedges,
+            hedge_latency_saved_s=saved_s,
             shard_retries=shard_retries,
         )
 
@@ -1318,9 +1316,6 @@ class KnapsackService:
             "overload": {
                 "deadline_shed": self._deadline_shed,
                 "watchdog_timeouts": self._watchdog_timeouts,
-                "breaker": self._breaker.stats()
-                if self._breaker is not None
-                else None,
             },
             "cache": self._cache.stats() if self._cache is not None else None,
             "shm": self.shm_stats(),

@@ -18,10 +18,10 @@ from repro.access.oracle import QueryOracle
 from repro.errors import CorruptProbeError, RetriesExhaustedError
 from repro.faults import (
     FaultPlan,
-    FaultyOracle,
+    FaultyAccess,
     ProbeAuditor,
     RetryPolicy,
-    RetryingOracle,
+    RetryingAccess,
 )
 from repro.knapsack.items import Item
 from repro.obs import runtime as rt
@@ -128,9 +128,9 @@ class TestAuditedRetryPath:
         inst = self._instance()
         lo, hi = self._tight_bounds(inst)
         plan = FaultPlan(seed=5, corruption_rate=1.0, corruption_scale=0.5)
-        faulty = FaultyOracle(QueryOracle(inst), plan.stream("oracle"))
+        faulty = FaultyAccess(QueryOracle(inst), plan.stream("oracle"))
         audit = ProbeAuditor(lo=lo, hi=hi)
-        retry = RetryingOracle(
+        retry = RetryingAccess(
             faulty, RetryPolicy(max_retries=2, seed=5), audit=audit
         )
         with pytest.raises(RetriesExhaustedError):
@@ -144,8 +144,8 @@ class TestAuditedRetryPath:
         inst = self._instance()
         lo, hi = self._tight_bounds(inst)
         plan = FaultPlan(seed=5)
-        faulty = FaultyOracle(QueryOracle(inst), plan.stream("oracle"))
-        audited = RetryingOracle(
+        faulty = FaultyAccess(QueryOracle(inst), plan.stream("oracle"))
+        audited = RetryingAccess(
             faulty, RetryPolicy(max_retries=2, seed=5),
             audit=ProbeAuditor(lo=lo, hi=hi),
         )
@@ -162,9 +162,9 @@ class TestAuditedRetryPath:
         inst = self._instance()
         lo, hi = self._tight_bounds(inst)
         plan = FaultPlan(seed=9, corruption_rate=0.5, corruption_scale=0.9)
-        faulty = FaultyOracle(QueryOracle(inst), plan.stream("oracle"))
+        faulty = FaultyAccess(QueryOracle(inst), plan.stream("oracle"))
         audit = ProbeAuditor(lo=lo, hi=hi)
-        retry = RetryingOracle(
+        retry = RetryingAccess(
             faulty, RetryPolicy(max_retries=8, seed=9), audit=audit
         )
         answered = [retry.query(i) for i in range(40)]  # completes: recovery worked

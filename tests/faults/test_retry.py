@@ -1,4 +1,4 @@
-"""Tests for the budget-honest retry policy and its decorators."""
+"""Tests for the budget-honest retry policy and its access layer."""
 
 import numpy as np
 import pytest
@@ -11,14 +11,7 @@ from repro.errors import (
     ReproError,
     RetriesExhaustedError,
 )
-from repro.faults import (
-    FaultPlan,
-    FaultyOracle,
-    FaultySampler,
-    RetryingOracle,
-    RetryingSampler,
-    RetryPolicy,
-)
+from repro.faults import FaultPlan, FaultyAccess, RetryingAccess, RetryPolicy
 from repro.knapsack.instance import KnapsackInstance
 
 
@@ -31,7 +24,7 @@ def inst():
 
 def stack(inst, plan, policy, *, budget=None):
     inner = QueryOracle(inst, budget=budget)
-    return RetryingOracle(FaultyOracle(inner, plan.stream("t", "o")), policy), inner
+    return RetryingAccess(FaultyAccess(inner, plan.stream("t", "o")), policy), inner
 
 
 class TestRecovery:
@@ -73,8 +66,8 @@ class TestRecovery:
 
     def test_retrying_sampler_recovers_with_fresh_draws(self, inst):
         plan = FaultPlan(seed=8, probe_failure_rate=0.5)
-        sampler = RetryingSampler(
-            FaultySampler(WeightedSampler(inst), plan.stream("t", "s")),
+        sampler = RetryingAccess(
+            FaultyAccess(WeightedSampler(inst), plan.stream("t", "s")),
             RetryPolicy(max_retries=8, seed=1),
         )
         rng = np.random.default_rng(3)
@@ -91,8 +84,8 @@ class TestHedging:
         policy = RetryPolicy(
             max_retries=retries, seed=1, probe_timeout_s=timeout, hedge_after_s=hedge
         )
-        faulty = FaultyOracle(inner, plan.stream("t", "o"), timeout_s=timeout)
-        return RetryingOracle(faulty, policy), inner
+        faulty = FaultyAccess(inner, plan.stream("t", "o"), timeout_s=timeout)
+        return RetryingAccess(faulty, policy), inner
 
     def test_timeout_hedge_reprobes_without_spending_retries(self, inst):
         # Every spike exceeds the timeout, so every probe times out.
@@ -157,7 +150,7 @@ class TestHedging:
         # hedge never fires (and never spends budget).
         policy = RetryPolicy(max_retries=2, seed=1, hedge_after_s=0.01)
         inner = QueryOracle(inst)
-        oracle = RetryingOracle(inner, policy)
+        oracle = RetryingAccess(inner, policy)
         oracle.query_many(range(12))
         assert oracle.hedges_used == 0
         assert inner.queries_used == 12

@@ -1,6 +1,6 @@
-"""Overload governor: brownout hysteresis, circuit breaker, governed sweeps.
+"""Overload governor: brownout hysteresis, governed sweeps.
 
-Every state machine here is a pure function of its observation sequence
+The brownout controller is a pure function of its observation sequence
 (no wall clock, no RNG), so the tests assert exact trajectories; the
 sweep tests assert byte-identical replay, the CI ``overload-smoke``
 contract.  The hypothesis test pins the monotonicity claim from
@@ -14,23 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import (
-    CircuitOpenError,
-    ProbeFailureError,
-    QueryBudgetExceededError,
-    ReproError,
-)
+from repro.errors import ReproError
 from repro.load import LoadHarness, ServiceModel, run_overload_sweep
 from repro.obs.schema import validate_bench_overload
 from repro.serve import KnapsackService
-from repro.serve.overload import (
-    BROWNOUT_LEVELS,
-    BreakerConfig,
-    BrownoutConfig,
-    BrownoutController,
-    CircuitBreaker,
-    guard_access,
-)
+from repro.serve.overload import BROWNOUT_LEVELS, BrownoutConfig, BrownoutController
 
 
 class TestBrownoutController:
@@ -104,148 +92,6 @@ class TestBrownoutController:
             lo = calm.observe(qf, wait)
             hi = hot.observe(min(qf + dq, 1.0), wait + dw)
             assert hi >= lo
-
-
-class TestCircuitBreaker:
-    def test_opens_after_threshold_and_sheds_while_open(self):
-        br = CircuitBreaker(BreakerConfig(failure_threshold=3, cooldown_s=1.0))
-        for _ in range(3):
-            br.admit()
-            br.record_failure()
-        assert br.state == "open" and br.opens == 1
-        with pytest.raises(CircuitOpenError):
-            br.admit()
-        assert br.shed == 1
-
-    def test_cooldown_measured_in_virtual_ticks(self):
-        br = CircuitBreaker(
-            BreakerConfig(failure_threshold=1, cooldown_s=0.05, tick_s=0.02)
-        )
-        br.admit()
-        br.record_failure()  # open until now + 0.05
-        refused = 0
-        for _ in range(10):
-            try:
-                br.admit()
-            except CircuitOpenError:
-                refused += 1
-            else:
-                break
-        assert refused == 2  # two 0.02s ticks inside the 0.05s window
-        assert br.state == "half_open"
-        br.record_success()
-        assert br.state == "closed" and br.failures == 0
-
-    def test_half_open_failure_reopens(self):
-        br = CircuitBreaker(
-            BreakerConfig(failure_threshold=5, cooldown_s=0.01, tick_s=0.02)
-        )
-        br.admit()
-        for _ in range(5):
-            br.record_failure()
-        assert br.state == "open"
-        br.admit()  # cooled down: half-open trial
-        assert br.state == "half_open"
-        br.record_failure()  # one failure suffices in half-open
-        assert br.state == "open" and br.opens == 2
-
-    def test_success_clears_the_streak(self):
-        br = CircuitBreaker(BreakerConfig(failure_threshold=2))
-        br.admit(); br.record_failure()
-        br.admit(); br.record_success()
-        br.admit(); br.record_failure()
-        assert br.state == "closed"  # never two *consecutive* failures
-
-    def test_external_clock_is_monotonic_max(self):
-        times = iter([5.0, 1.0, 6.0])
-        br = CircuitBreaker(BreakerConfig(), clock=lambda: next(times))
-        br.admit()
-        assert br.now_s == 5.0
-        br.admit()
-        assert br.now_s == 5.0  # a rewinding clock never rewinds the breaker
-        br.admit()
-        assert br.now_s == 6.0
-
-    def test_stats_snapshot(self):
-        br = CircuitBreaker(BreakerConfig(failure_threshold=1), resource="x/y")
-        br.admit(); br.record_failure()
-        assert br.stats() == {
-            "resource": "x/y", "state": "open",
-            "failures": 0, "opens": 1, "shed": 0,
-        }
-
-
-class _FlakyOracle:
-    """Fails the first ``fail`` queries, then recovers."""
-
-    def __init__(self, fail: int) -> None:
-        self.fail = fail
-        self.calls = 0
-        self.budget_mode = False
-
-    def query(self, i: int):
-        self.calls += 1
-        if self.budget_mode:
-            raise QueryBudgetExceededError(budget=1, attempted=2)
-        if self.fail > 0:
-            self.fail -= 1
-            raise ProbeFailureError("oracle", attempt=1)
-        return i
-
-
-class _QuietSampler:
-    def sample(self, rng):
-        return 0
-
-
-class TestGuardAccess:
-    def test_none_config_is_the_identity(self):
-        s, o, br = guard_access("s", "o", None)
-        assert (s, o, br) == ("s", "o", None)
-
-    def test_shared_breaker_trips_on_oracle_failures(self):
-        oracle = _FlakyOracle(fail=10)
-        sampler, guarded, br = guard_access(
-            _QuietSampler(), oracle, BreakerConfig(failure_threshold=2),
-            ("serve",),
-        )
-        assert sampler.breaker is br and guarded.breaker is br
-        for _ in range(2):
-            with pytest.raises(ProbeFailureError):
-                guarded.query(0)
-        # The shared breaker now refuses the *sampler* too.
-        with pytest.raises(CircuitOpenError):
-            sampler.sample(None)
-        assert br.stats()["resource"] == "serve"
-
-    def test_budget_exhaustion_never_trips_the_breaker(self):
-        oracle = _FlakyOracle(fail=0)
-        oracle.budget_mode = True
-        _, guarded, br = guard_access(
-            _QuietSampler(), oracle, BreakerConfig(failure_threshold=1),
-        )
-        for _ in range(5):
-            with pytest.raises(QueryBudgetExceededError):
-                guarded.query(0)
-        assert br.state == "closed" and br.opens == 0
-
-    def test_recovery_closes_via_half_open(self):
-        oracle = _FlakyOracle(fail=1)
-        _, guarded, br = guard_access(
-            _QuietSampler(), oracle,
-            BreakerConfig(failure_threshold=1, cooldown_s=0.001, tick_s=0.01),
-        )
-        with pytest.raises(ProbeFailureError):
-            guarded.query(0)
-        assert br.state == "open"
-        assert guarded.query(7) == 7  # cooled down, trial succeeds
-        assert br.state == "closed"
-
-    def test_accounting_faces_pass_through(self):
-        oracle = _FlakyOracle(fail=0)
-        _, guarded, _ = guard_access(_QuietSampler(), oracle, BreakerConfig())
-        assert guarded.calls == 0  # __getattr__ delegation
-        assert guarded.inner is oracle
 
 
 @pytest.fixture(scope="module")

@@ -226,7 +226,6 @@ def _tick(i, *, depth, level, offered, completed):
         "dropped": 0,
         "degraded": 0,
         "queue_wait_ms": 0.0,
-        "breaker_state": None,
     }
 
 
@@ -608,8 +607,6 @@ DOCTORED = [
     ("timeline", put(-1, "ticks", 0, "inflight"), "ticks[0].inflight"),
     ("timeline", drop("ticks", 0, "degraded"), "ticks[0].degraded"),
     ("timeline", put(-0.5, "ticks", 0, "queue_wait_ms"), "ticks[0].queue_wait_ms"),
-    ("timeline", put("ajar", "ticks", 0, "breaker_state"),
-     "ticks[0].breaker_state"),
     ("timeline", put(0, "ticks", 1, "completed"), "ticks[1].completed"),
     ("timeline", put([], "summary"), "summary"),
     ("timeline", put(3, "summary", "ticks"), "summary.ticks"),

@@ -33,7 +33,6 @@ class TestSamplerBasics:
             queue_wait_s=0.0123,
             inflight=2,
             brownout_level=1,
-            breaker_state="closed",
             offered=10,
             completed=7,
             dropped=1,
@@ -43,7 +42,6 @@ class TestSamplerBasics:
         assert sample["t"] == 0.1
         assert sample["queue_wait_ms"] == 12.3
         assert sample["brownout_level"] == 1
-        assert sample["breaker_state"] == "closed"
         assert s.count == 1 and s.dropped == 0
 
     def test_counter_deltas_and_gauges(self):
@@ -196,9 +194,6 @@ def _tick_plans():
             "queue_depth": st.integers(0, 9),
             "inflight": st.integers(0, 4),
             "brownout_level": st.integers(0, 3),
-            "breaker_state": st.sampled_from(
-                [None, "closed", "half_open", "open"]
-            ),
             "wait_s": st.floats(0, 0.5, allow_nan=False, width=32),
             "completed": st.integers(0, 6),
         }
@@ -219,7 +214,6 @@ class TestShardMergeParity:
         """K shard timelines merged == one process observing all K streams."""
         ticks = max(len(p) for p in plans)
         tick_s = 0.05
-        _BREAKER_RANK = {None: 0, "closed": 1, "half_open": 2, "open": 3}
 
         # Shard side: each shard has its own registry and fresh sampler.
         states = []
@@ -237,7 +231,6 @@ class TestShardMergeParity:
                     queue_wait_s=gov["wait_s"],
                     inflight=gov["inflight"],
                     brownout_level=gov["brownout_level"],
-                    breaker_state=gov["breaker_state"],
                     completed=completed,
                 )
             states.append(shard.state())
@@ -257,10 +250,6 @@ class TestShardMergeParity:
                     reg.counter(name).inc(d)
             for s, (_, gov) in live:
                 completed_per_shard[s] += gov["completed"]
-            worst = max(
-                (gov["breaker_state"] for _, (_, gov) in live),
-                key=lambda b: _BREAKER_RANK[b],
-            )
             single.tick(
                 i * tick_s,
                 queue_depth=sum(gov["queue_depth"] for _, (_, gov) in live),
@@ -269,7 +258,6 @@ class TestShardMergeParity:
                 brownout_level=max(
                     gov["brownout_level"] for _, (_, gov) in live
                 ),
-                breaker_state=worst,
                 completed=sum(
                     completed_per_shard[s] for s, (_, gov) in live
                 ),

@@ -36,7 +36,6 @@ STACKS = {
         "fault_plan": FaultPlan(seed=9),
         "retry_policy": RetryPolicy(max_retries=2),
     },
-    "breaker": {"breaker": True},
 }
 
 

@@ -140,6 +140,26 @@ class TestAccounting:
         svc.answer_batch([0, 1], nonce=1)
         assert svc.stats()["faults_injected"]["probe_failures"] >= 1
 
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_shard_hedges_fold_into_service_totals(self, fast_params, executor):
+        counter = obs.REGISTRY.counter("faults.probe_hedges")
+        with KnapsackService(
+            generate("uniform", 300, seed=11),
+            0.1,
+            seed=42,
+            params=fast_params,
+            cache=False,
+            executor=executor,
+            fault_plan=FaultPlan(seed=3, probe_failure_rate=0.1, latency_spike_rate=0.6),
+            retry_policy=RetryPolicy(max_retries=6, seed=42, hedge_after_s=0.002),
+            strict=False,
+        ) as svc:
+            before = counter.value
+            svc.answer_batch(range(300), nonce=5, workers=2)
+            assert svc.probe_hedges_used == counter.value - before > 0
+            assert svc.stats()["probe_hedges"] == svc.probe_hedges_used
+            assert svc.hedge_latency_saved_s > 0.0
+
 
 class TestSerialization:
     def test_round_trip(self):

@@ -209,21 +209,21 @@ class TestTriggerPaths:
         # The fault family's trigger paths live in tests/faults/ and
         # tests/serve/; here we assert the raises are wired at all.
         from repro.access.oracle import QueryOracle
-        from repro.faults import FaultPlan, FaultyOracle, RetryingOracle, RetryPolicy
+        from repro.faults import FaultPlan, FaultyAccess, RetryingAccess, RetryPolicy
         from repro.knapsack.instance import KnapsackInstance
 
         inst = KnapsackInstance([1.0, 2.0], [0.1, 0.1], 0.5, normalize=False)
         doomed = FaultPlan(seed=0, probe_failure_rate=1.0)
         with pytest.raises(ProbeFailureError):
-            FaultyOracle(QueryOracle(inst), doomed.stream("x")).query(0)
+            FaultyAccess(QueryOracle(inst), doomed.stream("x")).query(0)
         slow = FaultPlan(seed=0, latency_spike_rate=1.0, latency_spike_s=1.0)
         with pytest.raises(ProbeTimeoutError):
-            FaultyOracle(
+            FaultyAccess(
                 QueryOracle(inst), slow.stream("x"), timeout_s=0.1
             ).query(0)
         with pytest.raises(RetriesExhaustedError):
-            RetryingOracle(
-                FaultyOracle(QueryOracle(inst), doomed.stream("y")),
+            RetryingAccess(
+                FaultyAccess(QueryOracle(inst), doomed.stream("y")),
                 RetryPolicy(max_retries=1, seed=0),
             ).query(0)
 
