@@ -231,9 +231,10 @@ class LoadHarness:
                 if self._warm:
                     # Untimed cache prefill: the rows measure the warm path.
                     # Warm through the same dispatch shape the timed run
-                    # uses — sharded batches pay a one-time *worker-side*
-                    # cold cost (pool spin-up, segment attach, per-process
-                    # pipeline) that a parent-side point query never touches.
+                    # uses — sharded batches pay a one-time cold cost
+                    # (pool spin-up, segment attach, the pipelines of the
+                    # shards' derived nonces) that a point query never
+                    # touches.
                     if self._service_workers > 1:
                         self._service.answer_batch(
                             [int(i) for i in indices[: self._service_workers]],

@@ -50,6 +50,7 @@ from concurrent.futures import (
     wait,
 )
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,13 +153,32 @@ def _both(sampler, oracle, name: str):
     return getattr(sampler, name, 0) + getattr(oracle, name, 0)
 
 
-def _retry_bill(sampler, oracle) -> tuple:
-    """``(retries, hedges, hedge_latency_saved_s)`` of one access pair
-    (zeros without a retry policy)."""
-    return tuple(
-        _both(sampler, oracle, name)
-        for name in ("retries_used", "hedges_used", "hedge_latency_saved_s")
+def _bill(sampler, oracle) -> tuple:
+    """``(samples, queries, blocks, retries, hedges, hedge_latency_saved_s)``
+    of one access pair (retry fields are zero without a retry policy)."""
+    return (
+        sampler.cost_counter,
+        oracle.cost_counter,
+        getattr(sampler, "blocks_used", 0),
+        *(
+            _both(sampler, oracle, name)
+            for name in ("retries_used", "hedges_used", "hedge_latency_saved_s")
+        ),
     )
+
+
+#: The bill of a shard that never reached a worker's access stack.
+_NO_BILL = (0, 0, 0, 0, 0, 0.0)
+
+
+class _ShardOutcome(NamedTuple):
+    """One shard's answers and :func:`_bill`, whichever executor served
+    it (picklable: process workers ship theirs home)."""
+
+    answers: list
+    bill: tuple
+    degraded: int = 0
+    hit: bool = False
 
 
 def _layer(access, kind):
@@ -171,18 +191,21 @@ def _layer(access, kind):
 def _serve_chunk(payload) -> tuple:
     """Process-pool entry: answer one shard in a long-lived pool worker.
 
-    Rebuilds the access objects from the payload (a worker keeps no
+    The parent dispatches only shards its pipeline cache missed.  The
+    worker rebuilds the access objects from the payload (it keeps no
     serving state between chunks: no pipeline or sampler outlives the
-    chunk that built it), applies the shard's fault/retry wiring, and
-    returns the slim answers plus the shard's full bill:
-    ``(answers, samples, queries, blocks, degraded, retry_bill, obs)``,
-    with ``retry_bill`` the :func:`_retry_bill` triple and ``obs`` the
-    chunk's full observability state — its registry (mergeable
-    histogram buckets, not quantile summaries), its finished
+    chunk that built it), applies the shard's fault/retry wiring, runs
+    the pipeline and returns ``(outcome, pipeline, obs)``: ``outcome``
+    is the shard's :class:`_ShardOutcome` (slim answers plus full
+    :func:`_bill`); ``pipeline`` is the run the parent memoizes under the
+    shard's nonce — shipped only when the payload asks for it (the
+    service has a cache) and the shard was not degraded, else ``None``;
+    ``obs`` is the chunk's full observability state — its registry
+    (mergeable histogram buckets, not quantile summaries), its finished
     ``serve.shard`` span tree (when the parent propagated a trace
     context), its flight-recorder events and drop count, and its
-    timeline ticks — so the parent can fold the shard's telemetry in exactly, not just
-    its cost totals.
+    timeline ticks — so the parent can fold the shard's telemetry in
+    exactly, not just its cost totals.
 
     The worker resets the global runtime first: a forked worker inherits
     the parent's counter values, open span stack and recorded events,
@@ -199,20 +222,24 @@ def _serve_chunk(payload) -> tuple:
     is how the requeue path is exercised end to end.
 
     The payload is ``(instance, spec, nonce, indices, attempt, strict,
-    trace_ctx, timeline)``; ``spec`` is the service's :class:`_StackSpec`,
-    so the child's stack is built by the same :func:`_access_stack` as
-    the parent's.  Slot 0 is either the pickled instance (legacy path:
-    O(n) per shard) or a :class:`SharedInstanceHandle` (shared-memory
-    path: the worker attaches zero-copy views once, through the
-    per-process attach cache, and re-wraps the segment's prebuilt alias
-    table — O(1) per shard in n).  The attach — including its digest
+    trace_ctx, timeline, ship_pipeline)``; ``spec`` is the service's
+    :class:`_StackSpec`, so the child's stack is built by the same
+    :func:`_access_stack` as the parent's.  Slot 0 is either the pickled
+    instance (legacy path: O(n) per shard) or a
+    :class:`SharedInstanceHandle` (shared-memory path: the worker
+    attaches zero-copy views once, through the per-process attach cache,
+    and re-wraps the segment's prebuilt alias table — O(1) per shard in
+    n).  The attach — including its digest
     verification, which happens *before* any access object exists, so no
     query is ever billed against a wrong segment — runs before
     ``reset_worker_runtime`` so the worker's shipped-home registry is
     identical between the two paths; the parent-facing setup/memory
     measurements travel in dedicated ``obs_state`` keys instead.
     """
-    instance, spec, nonce, indices, attempt, strict, trace_ctx, timeline = payload
+    (
+        instance, spec, nonce, indices, attempt, strict, trace_ctx, timeline,
+        ship_pipeline,
+    ) = payload
     plan = spec.plan
     if plan is not None and plan.shard_kill(nonce, attempt):
         os._exit(17)
@@ -241,6 +268,7 @@ def _serve_chunk(payload) -> tuple:
         instance, sampler, spec, ("shard", nonce, attempt), audit=audit
     )
     degraded = 0
+    pipeline = None
     with _obs.span("serve.shard"):
         try:
             pipeline = lca.run_pipeline(nonce=nonce)
@@ -281,12 +309,8 @@ def _serve_chunk(payload) -> tuple:
         "shared": shared_store is not None,
     }
     return (
-        answers,
-        sampler.cost_counter,
-        oracle.cost_counter,
-        getattr(sampler, "blocks_used", 0),
-        degraded,
-        _retry_bill(sampler, oracle),
+        _ShardOutcome(answers, _bill(sampler, oracle), degraded),
+        pipeline if ship_pipeline and not degraded else None,
         obs_state,
     )
 
@@ -307,6 +331,29 @@ class _ShardTotals:
     probe_hedges: int = 0
     hedge_latency_saved_s: float = 0.0
     shard_retries: int = 0
+
+    @classmethod
+    def fold(cls, outcomes: list, shard_retries: int = 0) -> "_ShardTotals":
+        """Sum per-shard outcomes, in shard order.  A shard counts as a
+        pipeline run when it missed the cache and was not degraded."""
+        samples, queries, blocks, retries, hedges, saved_s = (
+            sum(column) for column in zip(*(o.bill for o in outcomes))
+        )
+        hits = sum(1 for o in outcomes if o.hit)
+        return cls(
+            answers=[o.answers for o in outcomes],
+            samples=samples,
+            queries=queries,
+            blocks=blocks,
+            hits=hits,
+            misses=len(outcomes) - hits,
+            runs=sum(1 for o in outcomes if not o.hit and not o.degraded),
+            degraded=sum(o.degraded for o in outcomes),
+            probe_retries=retries,
+            probe_hedges=hedges,
+            hedge_latency_saved_s=saved_s,
+            shard_retries=shard_retries,
+        )
 
 
 @dataclass(frozen=True)
@@ -387,14 +434,16 @@ class KnapsackService:
         Size of the private cache when ``cache`` is ``None``.
     executor:
         ``"thread"`` (default) or ``"process"`` — how parallel batches
-        run.  Thread shards share the parent's cache; process shards
-        cannot (results stay in the child), but exercise true
-        zero-shared-state execution and rely on answers being cheap to
-        pickle.  Either way the shards run on one long-lived pool per
-        service, built on the first sharded batch
-        and shut down by :meth:`close`; a service that has served a
-        sharded batch holds live workers until it is closed (or used as
-        a context manager).
+        run.  Both executors memoize shard pipelines in the service's
+        cache and bill a warm batch the same.  Thread shards look the
+        cache up on their pool thread.  A process batch looks every shard
+        up in the parent first: hits are answered in the parent, and only
+        misses go to a worker, which ships its pipeline home for the
+        cache along with its answers.  Either way the shards run on one
+        long-lived pool per service, built on the first sharded batch
+        that needs it and shut down by :meth:`close`; a service that has
+        dispatched shards holds live workers until it is closed (or used
+        as a context manager).
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan`; wraps every access
         object (the service's own and each shard's) in deterministic
@@ -1008,6 +1057,37 @@ class KnapsackService:
             stale_served=self._count_stale(ordered),
         )
 
+    def _serve_shard(
+        self, shard, shard_nonce: int, strict: bool, pipeline=None
+    ) -> tuple:
+        """Answer one shard in this process; returns ``(outcome, span)``.
+
+        The shard gets a fresh access stack over the service's alias
+        table — its own bill, and fault coins keyed like a first attempt
+        (``("shard", nonce, 0)``) — and the parent's degradation ladder.
+        ``pipeline`` is a cache hit the caller already looked up; without
+        one the shard acquires its pipeline through :meth:`pipeline_for`
+        (a lookup, and on a miss a run on the shard's stack).  ``span``
+        is the shard's ``serve.shard`` span (``None`` when untraced).
+        """
+        sampler, oracle, lca = _access_stack(
+            self._instance, WeightedSampler(self._instance, table=self._table),
+            self._spec, ("shard", shard_nonce, 0), audit=self._audit,
+        )
+        hit = pipeline is not None
+        degraded = 0
+        with _obs.span("serve.shard") as span:
+            try:
+                if pipeline is None:
+                    pipeline, hit = self.pipeline_for(shard_nonce, lca=lca)
+                answers = lca.answers_from(pipeline, shard)
+            except _DEGRADABLE as exc:
+                if strict:
+                    raise
+                answers = self._degrade(shard, exc)
+                degraded = len(shard)
+        return _ShardOutcome(answers, _bill(sampler, oracle), degraded, hit), span
+
     def _run_threads(self, shards, nonces, w, strict) -> _ShardTotals:
         # The batch span's identity, captured once on the calling thread;
         # each shard adopts a slot-keyed child id so its pool-thread-local
@@ -1017,56 +1097,16 @@ class KnapsackService:
         def serve_shard(shard, shard_nonce, slot):
             if parent_trace is not None:
                 _obs.TRACER.adopt(parent_trace, f"{parent_span}.s{slot}")
-            # Fresh accounting and fault coins per shard, shared table.
-            sampler, oracle, lca = _access_stack(
-                self._instance, WeightedSampler(self._instance, table=self._table),
-                self._spec, ("shard", shard_nonce, 0), audit=self._audit,
-            )
-            degraded = 0
-            hit = False
-            shard_span = None
-            with _obs.span("serve.shard") as shard_span:
-                try:
-                    pipeline, hit = self.pipeline_for(shard_nonce, lca=lca)
-                    answers = lca.answers_from(pipeline, shard)
-                except _DEGRADABLE as exc:
-                    if strict:
-                        raise
-                    answers = self._degrade(shard, exc)
-                    degraded = len(shard)
-            return (
-                answers,
-                sampler.cost_counter,
-                oracle.cost_counter,
-                getattr(sampler, "blocks_used", 0),
-                hit,
-                degraded,
-                _retry_bill(sampler, oracle),
-                shard_span,
-            )
+            return self._serve_shard(shard, shard_nonce, strict)
 
         pool = self._pool("thread", w)
         results = list(pool.map(serve_shard, shards, nonces, range(w)))
         parent = _obs.TRACER.current()
         if parent is not None:
-            for r in results:  # slot order => deterministic child order
-                if r[7] is not None:
-                    _obs.TRACER.graft(parent, r[7])
-        hits = sum(1 for r in results if r[4])
-        degraded = sum(r[5] for r in results)
-        return _ShardTotals(
-            answers=[r[0] for r in results],
-            samples=sum(r[1] for r in results),
-            queries=sum(r[2] for r in results),
-            blocks=sum(r[3] for r in results),
-            hits=hits,
-            misses=w - hits,
-            runs=sum(1 for r in results if not r[4] and not r[5]),
-            degraded=degraded,
-            probe_retries=sum(r[6][0] for r in results),
-            probe_hedges=sum(r[6][1] for r in results),
-            hedge_latency_saved_s=sum(r[6][2] for r in results),
-        )
+            for _, span in results:  # slot order => deterministic child order
+                if span is not None:
+                    _obs.TRACER.graft(parent, span)
+        return _ShardTotals.fold([outcome for outcome, _ in results])
 
     # ------------------------------------------------------------------
     # Worker pools
@@ -1132,7 +1172,7 @@ class KnapsackService:
         trace_ctx = None if trace_id is None else (trace_id, f"{span_id}.s{slot}")
         return (
             instance, self._spec, shard_nonce, shard, attempt, strict,
-            trace_ctx, _obs.timeline_config(),
+            trace_ctx, _obs.timeline_config(), self._cache is not None,
         )
 
     def _merge_worker_obs(self, obs: dict | None) -> None:
@@ -1163,7 +1203,17 @@ class KnapsackService:
             _obs.TIMELINE.merge_state(timeline)
 
     def _run_process(self, shards, nonces, w, strict) -> _ShardTotals:
-        """Submit shards to the service's process pool with requeue-on-death.
+        """Answer cache hits here; submit the misses to the service's
+        process pool with requeue-on-death.
+
+        Every shard's derived nonce is looked up in the service's cache
+        before anything is dispatched.  A hit is answered in the parent
+        by :meth:`_serve_shard`, exactly as a thread shard answers one:
+        no IPC, no wait, no pipeline run.  Only misses reach a worker,
+        and the attempt that answers a miss ships its pipeline home to
+        be cached under the shard's nonce.  Requeued, killed or degraded
+        attempts never populate the cache, just as a failed attempt's
+        bill never reaches the budget.
 
         Each round submits one attempt per pending shard to the
         long-lived pool (:meth:`_pool`), then waits once for the whole
@@ -1185,15 +1235,30 @@ class KnapsackService:
         on close: no segment leaks.
         """
         n_shards = len(shards)
+        outcomes: list = [None] * n_shards
+        keys = (
+            [self.cache_key(nonce) for nonce in nonces]
+            if self._cache is not None
+            else None
+        )
+        misses: list[int] = []
+        for k in range(n_shards):
+            cached = self._cache.get(keys[k]) if keys is not None else None
+            if cached is None:
+                misses.append(k)
+            else:
+                outcomes[k], _ = self._serve_shard(
+                    shards[k], nonces[k], strict, cached
+                )
         results: dict[int, tuple | None] = {}
         submissions = [0] * n_shards
         last_error: dict[int, Exception] = {}
         shard_retries = 0
-        # Shared mode ships the O(1) handle; workers attach zero-copy.
-        instance = self._ensure_store().handle if self._shared else self._instance
-        todo = list(range(n_shards))
+        todo = list(misses)
         while todo:
             pool = self._pool("process", w)
+            # Shared mode ships the O(1) handle; workers attach zero-copy.
+            instance = self._ensure_store().handle if self._shared else self._instance
             futures: dict[int, Future] = {}
             for k in todo:
                 payload = self._chunk_payload(
@@ -1258,48 +1323,27 @@ class KnapsackService:
                         attempt=submissions[k],
                     )
                     todo.append(k)
-        answers: list = []
-        samples = queries = blocks = degraded = retries = hedges = runs = 0
-        saved_s = 0.0
-        self._worker_setup_s = []
-        self._worker_memory = []
-        for k in range(n_shards):
+        setup_s: list[float] = []
+        memory: list[dict] = []
+        for k in misses:
             res = results[k]
             if res is None:
                 # Dead past requeue: degrade the shard in the parent.
                 failure = ShardFailureError(k, submissions[k], last_error[k])
-                answers.append(self._degrade(shards[k], failure))
-                degraded += len(shards[k])
+                answers = self._degrade(shards[k], failure)
+                outcomes[k] = _ShardOutcome(answers, _NO_BILL, len(answers))
                 continue
-            answers.append(res[0])
-            samples += res[1]
-            queries += res[2]
-            blocks += res[3]
-            degraded += res[4]
-            retries += res[5][0]
-            hedges += res[5][1]
-            saved_s += res[5][2]
-            obs_state = res[6] if len(res) > 6 else None
+            outcomes[k], pipeline, obs_state = res
+            if pipeline is not None:
+                self._cache.put(keys[k], pipeline)
             self._merge_worker_obs(obs_state)
-            if obs_state and "setup_s" in obs_state:
-                self._worker_setup_s.append(float(obs_state["setup_s"]))
-                self._worker_memory.append(obs_state.get("memory") or {})
-            runs += 1
-        # Child processes cannot see the parent cache: all misses.
-        return _ShardTotals(
-            answers=answers,
-            samples=samples,
-            queries=queries,
-            blocks=blocks,
-            hits=0,
-            misses=w,
-            runs=runs,
-            degraded=degraded,
-            probe_retries=retries,
-            probe_hedges=hedges,
-            hedge_latency_saved_s=saved_s,
-            shard_retries=shard_retries,
-        )
+            setup_s.append(float(obs_state["setup_s"]))
+            memory.append(obs_state["memory"])
+        if misses:
+            # Worker telemetry describes the last batch that dispatched:
+            # an all-hit batch leaves it as it was.
+            self._worker_setup_s, self._worker_memory = setup_s, memory
+        return _ShardTotals.fold(outcomes, shard_retries)
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
@@ -1323,7 +1367,8 @@ class KnapsackService:
 
     @property
     def worker_setup_s(self) -> list[float]:
-        """Per-shard access-setup seconds, most recent process batch.
+        """Per-shard access-setup seconds of the most recent batch that
+        dispatched a worker (an all-hit batch dispatches none).
 
         Covers segment attach and sampler wrap (shared mode) or sampler
         construction over the unpickled instance (pickled mode) — the
@@ -1335,17 +1380,17 @@ class KnapsackService:
     @property
     def worker_memory(self) -> list[dict]:
         """Per-shard :func:`~repro.knapsack.shm.process_memory`
-        snapshots, most recent process batch."""
+        snapshots of the most recent batch that dispatched a worker."""
         return list(self._worker_memory)
 
     def shm_stats(self) -> dict | None:
         """Shared-memory tier accounting, or ``None`` when not in use.
 
-        ``worker_setup_s``/``worker_memory`` reflect the shards of the
-        most recent process batch: with the tier on, setup is
-        O(1) in n and per-worker *private* memory stays bounded by
-        block-size working state, not by the instance (shared pages are
-        excluded from ``private_kb``).
+        ``worker_setup_s``/``worker_memory`` reflect the dispatched
+        shards of the most recent batch that had any: with the tier on,
+        setup is O(1) in n and per-worker *private* memory stays bounded
+        by block-size working state, not by the instance (shared pages
+        are excluded from ``private_kb``).
         """
         if not self._shared:
             return None

@@ -6,7 +6,9 @@ every thread shard wraps it in a fresh-accounting sampler, and the
 shared-memory tier copies it instead of building its own.  These tests
 count :meth:`AliasTable._build` calls after construction (expected: none)
 and pin answers and probe bills to an inline reference that builds
-everything from scratch, shard by shard.
+everything from scratch, shard by shard, on every executor: a warm
+process batch is answered in the parent off the shared cache, so it
+bills exactly what a warm thread batch bills.
 """
 
 import sys
@@ -37,6 +39,21 @@ STACKS = {
         "retry_policy": RetryPolicy(max_retries=2),
     },
 }
+
+EXECUTORS = {
+    "thread": {"executor": "thread"},
+    "process": {"executor": "process"},
+    "process-shared": {"executor": "process", "shared_instance": True},
+}
+
+#: Every (stack, executor) pair; thread cases keep the bare stack id.
+CASES = [
+    pytest.param(
+        stack, executor, id=stack if executor == "thread" else f"{stack}-{executor}"
+    )
+    for stack in sorted(STACKS)
+    for executor in EXECUTORS
+]
 
 
 @pytest.fixture()
@@ -82,26 +99,26 @@ def _bill(svc, report, blocks_before):
     )
 
 
-@pytest.mark.parametrize("stack", sorted(STACKS))
-def test_thread_batches_build_no_alias_table(stack, fast_params, alias_builds):
-    svc = KnapsackService(
+@pytest.mark.parametrize("stack, executor", CASES)
+def test_thread_batches_build_no_alias_table(stack, executor, fast_params, alias_builds):
+    with KnapsackService(
         INSTANCE, fast_params.epsilon, seed=SEED, params=fast_params,
-        executor="thread", **STACKS[stack],
-    )
-    assert alias_builds == [N]  # the service's one build
-    expected, cold_bill, warm_bill = _reference(fast_params, NONCE)
-    del alias_builds[:]  # the reference's own builds
-    blocks = svc.blocks_used
-    report = svc.answer_batch(INDICES, nonce=NONCE, workers=WORKERS)
-    assert report.cache_misses == WORKERS
-    assert [(a.index, a.include) for a in report.answers] == expected
-    assert _bill(svc, report, blocks) == cold_bill
-    for _ in range(3):
+        **EXECUTORS[executor], **STACKS[stack],
+    ) as svc:
+        assert alias_builds == [N]  # the service's one build
+        expected, cold_bill, warm_bill = _reference(fast_params, NONCE)
+        del alias_builds[:]  # the reference's own builds
         blocks = svc.blocks_used
         report = svc.answer_batch(INDICES, nonce=NONCE, workers=WORKERS)
-        assert report.cache_hits == WORKERS
+        assert report.cache_misses == WORKERS
         assert [(a.index, a.include) for a in report.answers] == expected
-        assert _bill(svc, report, blocks) == warm_bill
+        assert _bill(svc, report, blocks) == cold_bill
+        for _ in range(3):
+            blocks = svc.blocks_used
+            report = svc.answer_batch(INDICES, nonce=NONCE, workers=WORKERS)
+            assert report.cache_hits == WORKERS
+            assert [(a.index, a.include) for a in report.answers] == expected
+            assert _bill(svc, report, blocks) == warm_bill
     assert alias_builds == []
     assert report.probe_retries == 0 and report.degraded == 0
 

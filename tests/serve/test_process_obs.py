@@ -18,19 +18,22 @@ INDICES = list(range(0, 60, 3))
 NONCE = 31
 
 
-def run_traced(instance, params, executor, shared=False):
-    """One sharded batch under a fresh tracer/registry/recorder."""
+def run_traced(instance, params, executor, shared=False, batches=1):
+    """``batches`` sharded batches under one nonce and a fresh
+    tracer/registry/recorder; more than one turns the cache on, so every
+    batch after the first is warm."""
     rt.REGISTRY.reset()
     rt.TRACER.reset_worker()
     rt.RECORDER.clear()
     svc = KnapsackService(
-        instance, 0.1, seed=42, params=params, cache=False,
+        instance, 0.1, seed=42, params=params, cache=batches > 1,
         executor=executor, shared_instance=shared,
     )
     rt.TRACER.enable()
     try:
         with rt.span("repro.trace") as root:
-            report = svc.answer_batch(INDICES, nonce=NONCE, workers=2)
+            for _ in range(batches):
+                report = svc.answer_batch(INDICES, nonce=NONCE, workers=2)
     finally:
         rt.TRACER.disable()
         svc.close()
@@ -61,6 +64,23 @@ class TestProcessObsParity:
         *_, root_p, _ = [*run_traced(tiers_instance, fast_params, "process")]
         for key in ("queries", "samples", "sample_blocks"):
             assert phase_counts(root_p, key) == phase_counts(root_t, key)
+
+    def test_warm_batches_match_thread_run(self, tiers_instance, fast_params):
+        """Process-batch cache hits are answered in the parent; their
+        spans, counters and bill must match warm thread shards."""
+        runs = {
+            executor: run_traced(tiers_instance, fast_params, executor, batches=3)
+            for executor in ("thread", "process")
+        }
+        _, report_t, root_t, counters_t = runs["thread"]
+        svc_p, report_p, root_p, counters_p = runs["process"]
+        assert report_p.cache_hits == 2 and report_p.samples_spent == 0
+        assert report_p.answers == report_t.answers
+        assert counters_p == counters_t
+        for key in ("queries", "samples", "sample_blocks"):
+            assert phase_counts(root_p, key) == phase_counts(root_t, key)
+        assert sum(phase_counts(root_p, "queries").values()) == svc_p.queries_used
+        assert sum(phase_counts(root_p, "samples").values()) == svc_p.samples_used
 
     def test_merged_tree_has_one_trace_and_unique_span_ids(
         self, tiers_instance, fast_params

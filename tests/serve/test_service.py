@@ -131,6 +131,80 @@ class TestProcessExecutor:
         assert p.samples_spent > 0
         assert process_svc.samples_used == p.samples_spent
 
+    @staticmethod
+    def make(instance, params, executor="process", **kw):
+        return KnapsackService(
+            instance, params.epsilon, seed=3, params=params, executor=executor, **kw
+        )
+
+    def test_repeat_batch_is_answered_from_the_parent_cache(
+        self, tiers_instance, fast_params
+    ):
+        with self.make(tiers_instance, fast_params) as svc:
+            first = svc.answer_batch(range(20), nonce=5, workers=2)
+            again = svc.answer_batch(range(20), nonce=5, workers=2)
+        assert (first.cache_misses, first.pipelines_run) == (2, 2)
+        assert first.samples_spent > 0
+        assert (again.cache_hits, again.cache_misses) == (2, 0)
+        assert again.pipelines_run == 0
+        assert again.samples_spent == 0
+        assert again.answers == first.answers
+
+    def test_mixed_batch_dispatches_only_its_misses(
+        self, tiers_instance, fast_params
+    ):
+        # Shard nonces depend on (seed, nonce, shard) only, so a 3-way
+        # batch after a 2-way one finds shards 0 and 1 cached.
+        reference = self.make(tiers_instance, fast_params, executor="thread")
+        want = reference.answer_batch(range(30), nonce=5, workers=3)
+        with self.make(tiers_instance, fast_params) as svc:
+            svc.answer_batch(range(20), nonce=5, workers=2)
+            report = svc.answer_batch(range(30), nonce=5, workers=3)
+            assert len(svc.worker_setup_s) == 1
+        assert (report.cache_hits, report.cache_misses) == (2, 1)
+        assert report.pipelines_run == 1
+        assert report.answers == want.answers
+
+    def test_cacheless_service_dispatches_every_shard(
+        self, tiers_instance, fast_params
+    ):
+        with self.make(tiers_instance, fast_params, cache=False) as svc:
+            for _ in range(2):
+                report = svc.answer_batch(range(20), nonce=5, workers=2)
+                assert report.cache_hits == 0
+                assert report.pipelines_run == 2
+                assert report.samples_spent > 0
+
+    @pytest.mark.parametrize("first", ["thread", "process"])
+    def test_thread_and_process_services_share_one_cache(
+        self, tiers_instance, fast_params, first
+    ):
+        shared = PipelineCache(capacity=8)
+        second = "process" if first == "thread" else "thread"
+        with self.make(
+            tiers_instance, fast_params, executor=first, cache=shared
+        ) as a, self.make(
+            tiers_instance, fast_params, executor=second, cache=shared
+        ) as b:
+            cold = a.answer_batch(range(20), nonce=5, workers=2)
+            warm = b.answer_batch(range(20), nonce=5, workers=2)
+        assert warm.answers == cold.answers
+        assert (warm.cache_hits, warm.pipelines_run, warm.samples_spent) == (2, 0, 0)
+
+    def test_shipped_pipeline_matches_the_in_process_run(
+        self, tiers_instance, fast_params
+    ):
+        local = self.make(tiers_instance, fast_params, executor="thread")
+        with self.make(tiers_instance, fast_params) as svc:
+            svc.answer_batch(range(20), nonce=5, workers=2)
+            for k in range(2):
+                shard_nonce = derive_worker_nonce(svc.seed, 5, k)
+                shipped = svc.cache.get(svc.cache_key(shard_nonce))
+                computed, hit = local.pipeline_for(shard_nonce)
+                assert shipped is not None and not hit
+                assert shipped.signature_hash() == computed.signature_hash()
+                assert shipped == computed
+
     def test_unknown_executor_rejected(self, tiers_instance, fast_params):
         with pytest.raises(ReproError):
             KnapsackService(

@@ -138,6 +138,39 @@ class TestRequeue:
 
 
 @pytest.mark.slow
+class TestCachedShards:
+    """Only the attempt that answered a shard feeds the pipeline cache."""
+
+    def test_requeued_shard_caches_the_winning_attempt(
+        self, tiers_instance, fast_params
+    ):
+        # Every shard's first attempt dies; its requeue answers.
+        kill_plan = FaultPlan(seed=5, shard_kill_rate=1.0, shard_kill_attempts=1)
+        with service(
+            tiers_instance, fast_params, fault_plan=kill_plan, cache=None
+        ) as svc:
+            first = svc.answer_batch(INDICES, nonce=31, workers=2)
+            again = svc.answer_batch(INDICES, nonce=31, workers=2)
+        assert first.shard_retries == 2 and first.pipelines_run == 2
+        assert again.shard_retries == 0
+        assert again.cache_hits == 2 and again.pipelines_run == 0
+        assert again.samples_spent == 0
+        assert again.answers == first.answers
+
+    def test_degraded_shard_ships_no_pipeline(self, tiers_instance, fast_params):
+        plan = FaultPlan(seed=3, probe_failure_rate=1.0)
+        with service(
+            tiers_instance, fast_params, fault_plan=plan, strict=False, cache=None
+        ) as svc:
+            report = svc.answer_batch(INDICES, nonce=31, workers=2)
+            assert report.degraded == len(INDICES)
+            assert report.pipelines_run == 0
+            assert len(svc.cache) == 0
+            again = svc.answer_batch(INDICES, nonce=31, workers=2)
+        assert again.cache_hits == 0 and again.degraded == len(INDICES)
+
+
+@pytest.mark.slow
 class TestOneAttemptPerShard:
     """Each round submits exactly one attempt per pending shard."""
 

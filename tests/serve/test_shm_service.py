@@ -60,6 +60,24 @@ class TestSharedServiceParity:
             shm = svc.stats()["shm"]
             assert shm["owns_store"] and shm["store"]["n"] == tiers_instance.n
 
+    def test_all_hit_batch_keeps_the_last_dispatch_telemetry(
+        self, tiers_instance, fast_params
+    ):
+        with KnapsackService(
+            tiers_instance, 0.1, seed=42, params=fast_params,
+            executor="process", shared_instance=True,
+        ) as svc:
+            svc.answer_batch(INDICES, nonce=NONCE, workers=2)
+            setup, memory = svc.worker_setup_s, svc.worker_memory
+            shm = svc.shm_stats()
+            assert len(setup) == len(memory) == 2
+            warm = svc.answer_batch(INDICES, nonce=NONCE, workers=2)
+            assert warm.cache_hits == 2  # nothing was dispatched
+            assert svc.worker_setup_s == setup
+            assert svc.worker_memory == memory
+            assert svc.shm_stats()["worker_setup_s"] == shm["worker_setup_s"]
+            assert svc.shm_stats()["worker_memory"] == shm["worker_memory"]
+
     def test_worker_kill_requeues_without_leaking(self, tiers_instance, fast_params):
         from repro.faults import FaultPlan
 
