@@ -24,7 +24,6 @@ from .transcripts import (
     RecordingOracle,
     Transcript,
     TranscriptEntry,
-    oracle_for,
     transcripts_agree,
 )
 from .weighted_sampler import AliasTable, CustomSampler, Sample, WeightedSampler
@@ -45,5 +44,4 @@ __all__ = [
     "TranscriptEntry",
     "RecordingOracle",
     "transcripts_agree",
-    "oracle_for",
 ]

@@ -76,28 +76,19 @@ class QueryOracle:
     budget:
         Maximum number of queries; ``None`` means unlimited.  Exceeding
         the budget raises :class:`QueryBudgetExceededError`.
-    count_repeats:
-        If false, repeated queries to the same index are cached and
-        counted once — matching the lower-bound proofs' "without loss of
-        generality, the algorithm does not query an item it already
-        knows" convention (proof of Theorem 3.4).
+
+    Like the LCA it serves (Definitions 2.3-2.4), the oracle is
+    stateless apart from its counter: it keeps no record of which
+    indices were asked.  :class:`~repro.access.transcripts.RecordingOracle`
+    is the one access object that keeps a transcript.
     """
 
-    def __init__(
-        self,
-        instance: InstanceLike,
-        *,
-        budget: int | None = None,
-        count_repeats: bool = True,
-    ) -> None:
+    def __init__(self, instance: InstanceLike, *, budget: int | None = None) -> None:
         if budget is not None and budget < 0:
             raise OracleError(f"budget must be >= 0, got {budget}")
         self._instance = instance
         self._budget = budget
-        self._count_repeats = count_repeats
         self._queries = 0
-        self._cache: dict[int, Item] = {}
-        self._log: list[int] = []
 
     # ------------------------------------------------------------------
     # The query interface
@@ -116,65 +107,59 @@ class QueryOracle:
         """Reveal item ``i``; counts against the budget."""
         if not 0 <= i < self._instance.n:
             raise OracleError(f"query index {i} out of range [0, {self._instance.n})")
-        if not self._count_repeats and i in self._cache:
-            return self._cache[i]
         self._charge()
-        self._log.append(i)
-        item = Item(self._instance.profit(i), self._instance.weight(i))
-        self._cache[i] = item
-        return item
+        return Item(self._instance.profit(i), self._instance.weight(i))
 
     def query_many(self, indices) -> list[Item]:
         """Reveal a batch of items (charged per :meth:`query` semantics).
 
-        Budget enforcement, repeat caching and the query log behave
-        exactly as if :meth:`query` were called once per index, in
-        order; the batch form exists so callers on the serving hot path
-        have one charging point per batch instead of a Python-level
-        loop in their own code.
+        Budget and bounds enforcement behave exactly as if :meth:`query`
+        were called once per index, in order; the batch form exists so
+        callers on the serving hot path have one charging point per
+        batch instead of a Python-level loop in their own code.
         """
         return [self.query(int(i)) for i in indices]
 
     def query_block(self, indices) -> SampleBlock:
         """Reveal a batch of items as one columnar :class:`SampleBlock`.
 
-        Semantically identical to :meth:`query_many` — same budget
-        enforcement, repeat caching and query log, and one cost unit
-        per charged query — but the revealed attributes come back as
-        parallel numpy columns with a *single* accounting call for the
-        whole block.  The fast path engages for array-backed instances
-        when the budget has room for the entire batch and repeats are
-        charged; any other combination falls back to per-query calls
-        (preserving the exact partial-charge-then-raise and repeat-cache
-        behaviour) and assembles the block from their results.
+        Semantically identical to :meth:`query_many` — same budget and
+        bounds enforcement, and one cost unit per query — but the
+        revealed attributes come back as parallel numpy columns with a
+        *single* accounting call for the whole block.  The fast path
+        engages for array-backed instances when every index is in range
+        and the budget has room for the entire batch; otherwise
+        :meth:`_query_each` runs the per-query loop (preserving the
+        exact partial-charge-then-raise behaviour).
         """
         idx = [int(i) for i in indices]
         remaining = self.remaining
         arr = np.asarray(idx, dtype=np.int64)
         fast = (
-            self._count_repeats
-            and (remaining is None or remaining >= len(idx))
+            (remaining is None or remaining >= len(idx))
             and isinstance(self._instance, KnapsackInstance)
             and (arr.size == 0 or (arr.min() >= 0 and arr.max() < self._instance.n))
         )
         if not fast:
-            # Per-query loop: exact budget/bounds/repeat behaviour,
-            # including partial charging before a mid-batch error.
-            items = [self.query(i) for i in idx]
-            return SampleBlock(
-                idx,
-                [it.profit for it in items],
-                [it.weight for it in items],
-            )
+            return self._query_each(idx)
         self._queries += len(idx)
         _obs.record_oracle_queries(len(idx))
-        self._log.extend(idx)
         profits = self._instance.profits[arr]
         weights = self._instance.weights[arr]
-        for i, p, w in zip(idx, profits, weights):
-            if i not in self._cache:
-                self._cache[i] = Item(float(p), float(w))
         return SampleBlock(arr, profits, weights)
+
+    def _query_each(self, idx: list[int]) -> SampleBlock:
+        """One :meth:`query` per index, assembled into a block.
+
+        Charges (and raises) exactly as :meth:`query_many` does,
+        including partial charging before a mid-batch error.
+        """
+        items = [self.query(i) for i in idx]
+        return SampleBlock(
+            idx,
+            [it.profit for it in items],
+            [it.weight for it in items],
+        )
 
     def profit(self, i: int) -> float:
         """Convenience: profit component of :meth:`query`."""
@@ -210,20 +195,9 @@ class QueryOracle:
             return None
         return self._budget - self._queries
 
-    @property
-    def log(self) -> list[int]:
-        """Chronological list of queried indices (a copy)."""
-        return list(self._log)
-
-    def distinct_queried(self) -> set[int]:
-        """Set of indices revealed so far."""
-        return set(self._cache)
-
     def reset(self) -> None:
-        """Forget all accounting (a fresh stateless run)."""
+        """Zero the query counter (a fresh stateless run)."""
         self._queries = 0
-        self._cache.clear()
-        self._log.clear()
 
     def _charge(self) -> None:
         if self._budget is not None and self._queries >= self._budget:

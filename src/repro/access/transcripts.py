@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import OracleError
 from ..knapsack.instance import InstanceLike
 from ..knapsack.items import Item
+from .blocks import SampleBlock
 from .oracle import QueryOracle
 
 __all__ = ["TranscriptEntry", "Transcript", "RecordingOracle", "transcripts_agree"]
@@ -75,7 +75,13 @@ class Transcript:
 
 
 class RecordingOracle(QueryOracle):
-    """A :class:`QueryOracle` that also keeps a full :class:`Transcript`."""
+    """A :class:`QueryOracle` that also keeps a full :class:`Transcript`.
+
+    Every charged query is recorded exactly once, in order.  Recording
+    happens in :meth:`query` alone, so :meth:`query_block` always takes
+    the per-query path: the columnar fast path would charge without
+    passing through it.
+    """
 
     def __init__(self, instance: InstanceLike, **kwargs) -> None:
         super().__init__(instance, **kwargs)
@@ -86,6 +92,10 @@ class RecordingOracle(QueryOracle):
         item = super().query(i)
         self.transcript.append(i, item)
         return item
+
+    def query_block(self, indices) -> SampleBlock:
+        """Reveal and record a batch; the recorded prefix is what was charged."""
+        return self._query_each([int(i) for i in indices])
 
     def reset(self) -> None:
         """Clear both accounting and the transcript."""
@@ -99,14 +109,3 @@ def transcripts_agree(a: Transcript, b: Transcript) -> bool:
         return False
     return all(x == y for x, y in zip(a.entries, b.entries))
 
-
-def oracle_for(instance: InstanceLike, *, budget: int | None = None, record: bool = False) -> QueryOracle:
-    """Factory: plain or recording oracle over ``instance``."""
-    if record:
-        return RecordingOracle(instance, budget=budget)
-    return QueryOracle(instance, budget=budget)
-
-
-def _ensure_importable() -> None:  # pragma: no cover - import-time sanity
-    if QueryOracle is None:
-        raise OracleError("oracle module failed to import")

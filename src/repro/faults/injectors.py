@@ -7,7 +7,7 @@ satisfies :func:`~repro.access.cost.ensure_cost_meter`): an
 sabotaged — which is the point.
 
 The failure model is *charge-then-lose*: the wrapped probe executes
-first (budget charged, algorithm RNG consumed, query log appended) and
+first (budget charged, algorithm RNG consumed, transcript recorded) and
 only then may the response be lost or corrupted.  A failed probe is a
 paid probe; a retried probe pays again.  This keeps the oracle-budget
 accounting — the currency of Theorems 3.2-3.4 — honest under any fault

@@ -47,7 +47,7 @@ class ProbeLayer:
         return self._inner.cost_counter
 
     def __getattr__(self, name: str):
-        # Accounting faces (n, budget, queries_used, log, reset, ...)
+        # Accounting faces (n, budget, queries_used, reset, ...)
         # pass through.  A half-built copy (copy.copy, unpickling) has
         # no _inner yet: refusing it keeps the lookup from recursing.
         if name == "_inner":

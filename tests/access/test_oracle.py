@@ -3,6 +3,7 @@
 import pytest
 
 from repro.access.oracle import FunctionInstance, QueryOracle
+from repro.access.transcripts import RecordingOracle
 from repro.errors import OracleError, QueryBudgetExceededError
 from repro.knapsack.instance import KnapsackInstance
 from repro.knapsack.items import Item
@@ -21,20 +22,15 @@ class TestQueryOracle:
         assert oracle.weight(0) == 0.1
 
     def test_counting(self, inst):
-        oracle = QueryOracle(inst)
+        # Every query is charged, repeats included; order and
+        # distinctness are the transcript's business.
+        oracle = RecordingOracle(inst)
         oracle.query(0)
         oracle.query(0)
         oracle.query(1)
         assert oracle.queries_used == 3
-        assert oracle.distinct_queried() == {0, 1}
-        assert oracle.log == [0, 0, 1]
-
-    def test_repeat_free_mode(self, inst):
-        # Theorem 3.4's WLOG: re-queries of known items are free.
-        oracle = QueryOracle(inst, count_repeats=False)
-        oracle.query(0)
-        oracle.query(0)
-        assert oracle.queries_used == 1
+        assert oracle.transcript.distinct_indices() == {0, 1}
+        assert oracle.transcript.indices() == [0, 0, 1]
 
     def test_budget_enforced(self, inst):
         oracle = QueryOracle(inst, budget=2)
@@ -57,7 +53,7 @@ class TestQueryOracle:
         oracle.query(0)
         oracle.reset()
         assert oracle.queries_used == 0
-        assert oracle.distinct_queried() == set()
+        assert oracle.remaining == 5
 
     def test_metadata_passthrough(self, inst):
         oracle = QueryOracle(inst)

@@ -15,6 +15,7 @@ import pytest
 
 from repro.access.blocks import Sample, SampleBlock
 from repro.access.oracle import FunctionInstance, QueryOracle
+from repro.access.transcripts import RecordingOracle, transcripts_agree
 from repro.access.weighted_sampler import CustomSampler, WeightedSampler
 from repro.errors import OracleError, QueryBudgetExceededError
 from repro.knapsack.instance import KnapsackInstance
@@ -157,23 +158,22 @@ class TestCustomSamplerBlocks:
 
 class TestOracleQueryBlock:
     def test_block_equals_query_many(self, inst):
-        o_block = QueryOracle(inst)
-        o_many = QueryOracle(inst)
+        o_fast = QueryOracle(inst)
+        o_block = RecordingOracle(inst)
+        o_many = RecordingOracle(inst)
         idx = [2, 0, 2, 1]
-        block = o_block.query_block(idx)
+        block = o_fast.query_block(idx)
         items = o_many.query_many(idx)
         assert block.indices.tolist() == idx
         assert block.profits.tolist() == [it.profit for it in items]
         assert block.weights.tolist() == [it.weight for it in items]
-        assert o_block.queries_used == o_many.queries_used == 4
-        assert o_block.log == o_many.log
-        assert o_block.distinct_queried() == o_many.distinct_queried()
-
-    def test_uncounted_repeats_fall_back(self, inst):
-        oracle = QueryOracle(inst, count_repeats=False)
-        block = oracle.query_block([0, 0, 1, 0])
-        assert oracle.queries_used == 2  # repeats cached, charged once
-        assert block.profits.tolist() == [0.5, 0.5, 0.3, 0.5]
+        recorded = o_block.query_block(idx)
+        np.testing.assert_array_equal(recorded.profits, block.profits)
+        np.testing.assert_array_equal(recorded.weights, block.weights)
+        assert o_fast.queries_used == o_block.queries_used == o_many.queries_used == 4
+        assert o_block.transcript.indices() == o_many.transcript.indices() == idx
+        assert o_block.transcript.distinct_indices() == {0, 1, 2}
+        assert transcripts_agree(o_block.transcript, o_many.transcript)
 
     def test_budget_partial_charge_then_raise(self, inst):
         oracle = QueryOracle(inst, budget=2)

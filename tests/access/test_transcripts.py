@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro.access.oracle import FunctionInstance
 from repro.access.transcripts import (
     RecordingOracle,
-    oracle_for,
     transcripts_agree,
 )
+from repro.access.weighted_sampler import WeightedSampler
+from repro.core.lca_kp import LCAKP
+from repro.errors import OracleError, QueryBudgetExceededError
 from repro.knapsack.instance import KnapsackInstance
 
 
@@ -32,9 +35,51 @@ class TestRecording:
         oracle.reset()
         assert oracle.transcript.num_queries == 0
 
-    def test_factory(self, inst):
-        assert isinstance(oracle_for(inst, record=True), RecordingOracle)
-        assert not isinstance(oracle_for(inst), RecordingOracle)
+
+class TestRecordsEveryChargedQuery:
+    """The transcript equals the charged queries on every reveal path."""
+
+    def test_block_on_an_array_instance(self, inst):
+        # The path a plain QueryOracle serves from its columnar fast path.
+        oracle = RecordingOracle(inst)
+        block = oracle.query_block([2, 0, 2])
+        assert oracle.queries_used == 3
+        assert oracle.transcript.indices() == [2, 0, 2]
+        assert [e.profit for e in oracle.transcript.entries] == block.profits.tolist()
+
+    def test_block_on_a_function_instance_records_once(self):
+        fi = FunctionInstance(4, 1.0, lambda i: 0.1 * (i + 1), lambda i: 1.0)
+        oracle = RecordingOracle(fi)
+        oracle.query_block([3, 1, 3])
+        assert oracle.queries_used == 3
+        assert oracle.transcript.indices() == [3, 1, 3]
+
+    @pytest.mark.parametrize(
+        "budget, indices, error, charged",
+        [
+            (2, [1, 0, 2], QueryBudgetExceededError, [1, 0]),
+            (None, [0, 7], OracleError, [0]),
+        ],
+        ids=["over-budget", "out-of-range"],
+    )
+    def test_failed_block_records_exactly_the_charged_prefix(
+        self, inst, budget, indices, error, charged
+    ):
+        oracle = RecordingOracle(inst, budget=budget)
+        with pytest.raises(error):
+            oracle.query_block(indices)
+        assert oracle.queries_used == len(charged)
+        assert oracle.transcript.indices() == charged
+
+    def test_lca_answer_many(self, tiers_instance, fast_params):
+        oracle = RecordingOracle(tiers_instance)
+        sampler = WeightedSampler(tiers_instance)
+        lca = LCAKP(sampler, oracle, fast_params.epsilon, 42, params=fast_params)
+        lca.answer_many([1, 2, 3, 4], nonce=5)
+        lca.answer(9, nonce=5)
+        assert oracle.queries_used == 5
+        assert oracle.transcript.num_queries == oracle.queries_used
+        assert oracle.transcript.indices() == [1, 2, 3, 4, 9]
 
 
 class TestReplay:
