@@ -29,6 +29,9 @@ Subcommands
                 degradation ladder), write a bench-overload/v1 document
                 (non-zero exit when the governed availability floor is
                 missed or brownout buys nothing);
+``suite``       run a declarative scenario matrix (or rerun a previous
+                report from its embedded config), write a
+                suite-report/v1 document;
 ``bench``       measure serving throughput, write BENCH_serve.json;
 ``bench-cold``  measure cold-pipeline latency (columnar vs object path),
                 write BENCH_cold.json; ``--sweep`` adds an n-axis sweep;
@@ -40,8 +43,14 @@ Subcommands
 ``chaos``       run a seeded fault-injection sweep, assert availability,
                 write a deterministic chaos-report/v1 document;
 ``experiment``  run one of the E1-E11 experiments and print its table;
+``report``      run the whole experiment suite, write a markdown report;
 ``demo``        the Figure 1 reduction, walked end to end;
 ``families``    list the workload generator families.
+
+The flags several verbs share (the LCA tuple, the probe cap, the output
+path, the timeline pair) are declared once in :data:`_SHARED`; each verb
+sets its own defaults, and ``loadgen``/``overload``/``chaos`` take
+theirs from the run kinds' tables in :mod:`repro.obs.context`.
 """
 
 from __future__ import annotations
@@ -57,6 +66,7 @@ from .access.weighted_sampler import WeightedSampler
 from .analysis import experiments as exps
 from .analysis.tables import format_row_dicts, format_table
 from .core.lca_kp import LCAKP
+from .core.parameters import LCAParameters
 from .knapsack import FAMILIES, generate
 from .knapsack.solvers import (
     fractional_upper_bound,
@@ -65,6 +75,7 @@ from .knapsack.solvers import (
     solve_exact,
 )
 from .lowerbounds.or_reduction import BitOracle, ORReduction
+from .obs.context import CHAOS_DEFAULTS, LOAD_DEFAULTS, OVERLOAD_DEFAULTS
 
 EXPERIMENTS = {
     "thm32": exps.exp_thm32_or_lower_bound,
@@ -82,6 +93,94 @@ EXPERIMENTS = {
 }
 
 
+def _number_list(kind):
+    """An argparse ``type=`` for a comma-separated list of numbers.
+
+    Blank entries are skipped; a non-number or an empty list is a usage
+    error (exit 2), not a traceback or a zero-row document.
+    """
+
+    def parse(text: str) -> list:
+        try:
+            values = [kind(s) for s in text.split(",") if s.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated numbers, got {text!r}"
+            ) from None
+        if not values:
+            raise argparse.ArgumentTypeError("expected at least one number")
+        return values
+
+    return parse
+
+
+_FLOATS = _number_list(float)
+_INTS = _number_list(int)
+
+
+def _flag(*flags: str, **kwargs):
+    return flags, kwargs
+
+
+#: The flags several verbs share, by name: the LCA tuple (instance
+#: family, size and seed; epsilon; the shared random string r), the
+#: probe cap, the output path and the timeline pair.  Defaults are each
+#: verb's own (``set_defaults``), so none is written here.
+_SHARED = {
+    "family": [_flag("--family", choices=sorted(FAMILIES))],
+    "n": [_flag("--n", type=int, help="instance size")],
+    "seed": [_flag("--seed", type=int, help="instance seed")],
+    "chaos_seed": [
+        _flag("--instance-seed", type=int, help="instance seed"),
+        _flag(
+            "--seed", dest="chaos_seed", type=int,
+            help="chaos seed: drives the workload, the fault coins and the retry jitter",
+        ),
+    ],
+    "epsilon": [_flag("--epsilon", type=float)],
+    "lca_seed": [_flag("--lca-seed", type=int, help="the shared random string r")],
+    "cap": [
+        _flag(
+            "--cap", type=int,
+            help="cap m_large / n_rq for speed (0 keeps the full calibrated sizes)",
+        )
+    ],
+    "out": [_flag("--out", metavar="PATH", help="where to write the output document")],
+    "timeline": [
+        _flag(
+            "--timeline", action="store_true",
+            help="sample a timeline/v1 trajectory per rate (deterministic "
+            "tick grid on the virtual clock; live wall sampler otherwise)",
+        ),
+        _flag(
+            "--timeline-tick-s", type=float, metavar="S",
+            help="timeline tick spacing (default 0.05 virtual, 0.25 wall)",
+        ),
+    ],
+}
+
+
+def _verb(sub, name: str, help: str, *shared: str) -> argparse.ArgumentParser:
+    """Add subcommand ``name`` with the :data:`_SHARED` flags it takes."""
+    parser = sub.add_parser(name, help=help)
+    for key in shared:
+        for flags, kwargs in _SHARED[key]:
+            parser.add_argument(*flags, **kwargs)
+    return parser
+
+
+def _defaults_from(parser: argparse.ArgumentParser, table: dict, **extra) -> None:
+    """Default each of ``parser``'s flags that ``table`` names to the
+    table's value, then apply the verb's ``extra`` defaults."""
+    declared = {a.dest for a in parser._actions}
+    parser.set_defaults(
+        **{**{k: v for k, v in table.items() if k in declared}, **extra}
+    )
+
+
+_INSTANCE = ("family", "n", "seed", "epsilon", "lca_seed")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lca",
@@ -90,485 +189,368 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"repro {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="solve a generated instance")
-    p_solve.add_argument("--family", default="uniform", choices=sorted(FAMILIES))
-    p_solve.add_argument("--n", type=int, default=100)
-    p_solve.add_argument("--seed", type=int, default=0)
+    p = _verb(sub, "solve", "solve a generated instance", "family", "n", "seed")
+    p.set_defaults(family="uniform", n=100, seed=0)
 
-    p_lca = sub.add_parser("lca", help="answer LCA queries on a generated instance")
-    p_lca.add_argument("--family", default="planted_lsg", choices=sorted(FAMILIES))
-    p_lca.add_argument("--n", type=int, default=2000)
-    p_lca.add_argument("--seed", type=int, default=0)
-    p_lca.add_argument("--epsilon", type=float, default=0.05)
-    p_lca.add_argument("--lca-seed", type=int, default=42, help="the shared random string r")
-    p_lca.add_argument(
+    p = _verb(sub, "lca", "answer LCA queries on a generated instance", *_INSTANCE)
+    p.add_argument(
         "--tie-breaking",
         action="store_true",
         help="enable the stochastic tie-breaking extension (see core/tie_breaking.py)",
     )
-    p_lca.add_argument("items", type=int, nargs="+", help="item indices to query")
+    p.add_argument("items", type=int, nargs="+", help="item indices to query")
+    p.set_defaults(family="planted_lsg", n=2000, seed=0, epsilon=0.05, lca_seed=42)
 
-    p_trace = sub.add_parser(
-        "trace",
-        help="run one LCA query under the tracer and print its span tree",
+    p = _verb(
+        sub, "trace", "run one LCA query under the tracer and print its span tree",
+        *_INSTANCE,
     )
-    p_trace.add_argument("--family", default="planted_lsg", choices=sorted(FAMILIES))
-    p_trace.add_argument("--n", type=int, default=100_000)
-    p_trace.add_argument("--seed", type=int, default=0)
-    p_trace.add_argument("--epsilon", type=float, default=0.05)
-    p_trace.add_argument("--lca-seed", type=int, default=42, help="the shared random string r")
-    p_trace.add_argument("--query", type=int, default=0, help="item index to query")
-    p_trace.add_argument(
+    p.add_argument("--query", type=int, default=0, help="item index to query")
+    p.add_argument(
         "--nonce", type=int, default=1, help="fresh-randomness nonce (fixed for replayability)"
     )
-    p_trace.add_argument(
+    p.add_argument(
         "--json", metavar="PATH", default=None, help="also write the trace/v2 document to PATH"
     )
-    p_trace.add_argument(
+    p.add_argument(
         "--chrome", metavar="PATH", default=None,
         help="also export the span tree as Chrome trace-event JSON "
         "(open in Perfetto or chrome://tracing)",
     )
-    p_trace.add_argument(
+    p.add_argument(
         "--batch", type=int, default=None, metavar="N",
         help="trace a whole N-query service batch instead of one LCA query",
     )
-    p_trace.add_argument(
+    p.add_argument(
         "--workers", type=int, default=2,
         help="shard the traced batch across this many workers (with --batch)",
     )
-    p_trace.add_argument(
+    p.add_argument(
         "--executor", default="thread", choices=("thread", "process"),
         help="worker pool kind for the traced batch (with --batch)",
     )
+    p.set_defaults(family="planted_lsg", n=100_000, seed=0, epsilon=0.05, lca_seed=42)
 
-    p_metrics = sub.add_parser(
-        "metrics",
-        help="run a small LCA workload and dump the metrics registry snapshot as JSON",
+    p = _verb(
+        sub, "metrics",
+        "run a small LCA workload and dump the metrics registry snapshot as JSON",
+        *_INSTANCE, "out",
     )
-    p_metrics.add_argument("--family", default="planted_lsg", choices=sorted(FAMILIES))
-    p_metrics.add_argument("--n", type=int, default=20_000)
-    p_metrics.add_argument("--seed", type=int, default=0)
-    p_metrics.add_argument("--epsilon", type=float, default=0.05)
-    p_metrics.add_argument("--lca-seed", type=int, default=42)
-    p_metrics.add_argument("--queries", type=int, default=8, help="how many LCA queries to run")
-    p_metrics.add_argument(
-        "--out", metavar="PATH", default=None, help="write the snapshot here (default: stdout)"
-    )
-    p_metrics.add_argument(
+    p.add_argument("--queries", type=int, default=8, help="how many LCA queries to run")
+    p.add_argument(
         "--prom", metavar="PATH", default=None,
         help="also write the registry as Prometheus text exposition "
         "('-' for stdout)",
     )
+    p.set_defaults(family="planted_lsg", n=20_000, seed=0, epsilon=0.05, lca_seed=42)
 
-    p_serve = sub.add_parser(
-        "serve", help="serve a query batch through the KnapsackService engine"
+    p = _verb(
+        sub, "serve", "serve a query batch through the KnapsackService engine", *_INSTANCE
     )
-    p_serve.add_argument("--family", default="planted_lsg", choices=sorted(FAMILIES))
-    p_serve.add_argument("--n", type=int, default=5000)
-    p_serve.add_argument("--seed", type=int, default=0)
-    p_serve.add_argument("--epsilon", type=float, default=0.1)
-    p_serve.add_argument("--lca-seed", type=int, default=42, help="the shared random string r")
-    p_serve.add_argument("--queries", type=int, default=200, help="batch size to serve")
-    p_serve.add_argument(
+    p.add_argument("--queries", type=int, default=200, help="batch size to serve")
+    p.add_argument(
         "--batches", type=int, default=4, help="how many identical batches (shows cache hits)"
     )
-    p_serve.add_argument(
+    p.add_argument(
         "--workers", type=int, default=1, help="shard batches across this many workers"
     )
-    p_serve.add_argument(
-        "--executor", default="thread", choices=("thread", "process")
-    )
-    p_serve.add_argument(
+    p.add_argument("--executor", default="thread", choices=("thread", "process"))
+    p.add_argument(
         "--nonce", type=int, default=None, help="pin the fresh-randomness nonce (enables cache hits)"
     )
+    p.set_defaults(family="planted_lsg", n=5000, seed=0, epsilon=0.1, lca_seed=42)
 
-    p_load = sub.add_parser(
-        "loadgen",
-        help="open-loop load sweep over the service: tail latency, "
+    p = _verb(
+        sub, "loadgen",
+        "open-loop load sweep over the service: tail latency, "
         "availability, saturation knee; writes bench-load/v1",
+        *_INSTANCE, "cap", "timeline", "out",
     )
-    p_load.add_argument("--family", default="uniform", choices=sorted(FAMILIES))
-    p_load.add_argument("--n", type=int, default=2000)
-    p_load.add_argument("--seed", type=int, default=0, help="instance seed")
-    p_load.add_argument("--epsilon", type=float, default=0.1)
-    p_load.add_argument("--lca-seed", type=int, default=42, help="the shared random string r")
-    p_load.add_argument(
-        "--rates", default="50,100,200,400,800",
+    p.add_argument(
+        "--rates", type=_FLOATS,
         help="comma-separated offered rates (queries/sec) to sweep",
     )
-    p_load.add_argument(
-        "--queries", type=int, default=200, help="arrivals offered per rate"
-    )
-    p_load.add_argument("--workers", type=int, default=2, help="dispatch slots")
-    p_load.add_argument(
-        "--queue-cap", type=int, default=256,
+    p.add_argument("--queries", type=int, help="arrivals offered per rate")
+    p.add_argument("--workers", type=int, help="dispatch slots")
+    p.add_argument(
+        "--queue-cap", type=int,
         help="bounded-queue depth (arrivals finding it full are shed)",
     )
-    p_load.add_argument(
-        "--batch-max", type=int, default=16,
+    p.add_argument(
+        "--batch-max", type=int,
         help="largest microbatch one worker pulls per dispatch",
     )
-    p_load.add_argument(
-        "--arrival", default="poisson", choices=("poisson", "uniform", "constant"),
+    p.add_argument(
+        "--arrival", choices=("poisson", "uniform", "constant"),
         help="interarrival law",
     )
-    p_load.add_argument(
-        "--clock", default="virtual", choices=("wall", "virtual"),
+    p.add_argument(
+        "--clock", choices=("wall", "virtual"),
         help="wall = honest asyncio measurement; virtual = deterministic "
         "discrete-event simulation (byte-identical documents)",
     )
-    p_load.add_argument(
-        "--nonce", type=int, default=0,
+    p.add_argument(
+        "--nonce", type=int,
         help="arrival-schedule nonce (distinguishes replays of one config)",
     )
-    p_load.add_argument(
-        "--base-s", type=float, default=0.002,
+    p.add_argument(
+        "--base-s", type=float,
         help="virtual clock: per-batch fixed service time",
     )
-    p_load.add_argument(
-        "--per-query-s", type=float, default=0.0005,
+    p.add_argument(
+        "--per-query-s", type=float,
         help="virtual clock: per-query service time",
     )
-    p_load.add_argument(
-        "--jitter", type=float, default=0.0,
+    p.add_argument(
+        "--jitter", type=float,
         help="virtual clock: seeded multiplicative service-time jitter in [0,1)",
     )
-    p_load.add_argument(
-        "--fault-rate", type=float, default=0.0,
+    p.add_argument(
+        "--fault-rate", type=float,
         help="wall clock only: probe-failure rate injected under the run",
     )
-    p_load.add_argument(
-        "--retries", type=int, default=0,
+    p.add_argument(
+        "--retries", type=int,
         help="retry budget per probe when --fault-rate is set",
     )
-    p_load.add_argument(
-        "--cap", type=int, default=4_000,
-        help="cap m_large / n_rq for speed (0 keeps the full calibrated sizes)",
-    )
-    p_load.add_argument(
+    p.add_argument(
         "--shared-instance", action="store_true",
         help="serve from the zero-copy shared-memory instance tier "
         "(process executor; the n=10^7 tier of BENCH_load.json)",
     )
-    p_load.add_argument(
-        "--service-workers", type=int, default=0,
+    p.add_argument(
+        "--service-workers", type=int,
         help="wall clock only: shard each dispatched batch across this "
         "many service workers (0 = the service's own default)",
     )
-    p_load.add_argument(
-        "--timeline", action="store_true",
-        help="sample a timeline/v1 trajectory per rate (deterministic "
-        "tick grid on --clock virtual; live wall sampler otherwise)",
-    )
-    p_load.add_argument(
-        "--timeline-tick-s", type=float, default=None, metavar="S",
-        help="timeline tick spacing (default 0.05 virtual, 0.25 wall)",
-    )
-    p_load.add_argument(
-        "--out", metavar="PATH", default="BENCH_load.json",
-        help="where to write the bench-load/v1 document",
-    )
-    p_load.add_argument(
+    p.add_argument(
         "--listen", action="store_true",
         help="instead of sweeping, expose the service as a newline-"
         "delimited-JSON endpoint (see repro.load.endpoint)",
     )
-    p_load.add_argument("--host", default="127.0.0.1", help="bind address for --listen")
-    p_load.add_argument("--port", type=int, default=0, help="bind port for --listen (0 = ephemeral)")
-    p_load.add_argument(
+    p.add_argument("--host", default="127.0.0.1", help="bind address for --listen")
+    p.add_argument("--port", type=int, default=0, help="bind port for --listen (0 = ephemeral)")
+    p.add_argument(
         "--connect", metavar="HOST:PORT", default=None,
         help="drive a remote --listen endpoint instead of an in-process "
         "service (implies --clock wall; rows are tagged transport=socket)",
     )
+    _defaults_from(p, LOAD_DEFAULTS, out="BENCH_load.json")
 
-    p_overload = sub.add_parser(
-        "overload",
-        help="grade the overload governor around the saturation knee "
+    p = _verb(
+        sub, "overload",
+        "grade the overload governor around the saturation knee "
         "(brownout on vs off); writes bench-overload/v1",
+        *_INSTANCE, "cap", "timeline", "out",
     )
-    p_overload.add_argument("--family", default="uniform", choices=sorted(FAMILIES))
-    p_overload.add_argument("--n", type=int, default=2000)
-    p_overload.add_argument("--seed", type=int, default=0, help="instance seed")
-    p_overload.add_argument("--epsilon", type=float, default=0.1)
-    p_overload.add_argument(
-        "--lca-seed", type=int, default=42, help="the shared random string r"
-    )
-    p_overload.add_argument(
-        "--rates", default="100,200,400,800",
+    p.add_argument(
+        "--rates", type=_FLOATS,
         help="comma-separated offered rates (queries/sec) for the "
         "calibration sweep that locates the knee",
     )
-    p_overload.add_argument(
-        "--queries", type=int, default=300, help="arrivals offered per rate"
-    )
-    p_overload.add_argument(
-        "--workers", type=int, default=1,
+    p.add_argument("--queries", type=int, help="arrivals offered per rate")
+    p.add_argument(
+        "--workers", type=int,
         help="dispatch slots (1 pins the virtual capacity at "
         "1/(base_s + per_query_s) q/s)",
     )
-    p_overload.add_argument("--queue-cap", type=int, default=256)
-    p_overload.add_argument("--batch-max", type=int, default=1)
-    p_overload.add_argument(
-        "--nonce", type=int, default=0,
+    p.add_argument("--queue-cap", type=int)
+    p.add_argument("--batch-max", type=int)
+    p.add_argument(
+        "--nonce", type=int,
         help="arrival-schedule nonce (distinguishes replays of one config)",
     )
-    p_overload.add_argument(
-        "--cap", type=int, default=4_000,
-        help="cap m_large / n_rq for speed (0 keeps the full calibrated sizes)",
-    )
-    p_overload.add_argument(
-        "--deadline-s", type=float, default=0.05,
+    p.add_argument(
+        "--deadline-s", type=float,
         help="per-query deadline; arrivals past it are shed at dispatch",
     )
-    p_overload.add_argument(
-        "--overload-factor", type=float, default=2.0,
+    p.add_argument(
+        "--overload-factor", type=float,
         help="the comparison runs at this multiple of the detected knee",
     )
-    p_overload.add_argument(
-        "--availability-floor", type=float, default=0.9,
+    p.add_argument(
+        "--availability-floor", type=float,
         help="governed goodput availability the brownout variant must "
         "hold past the knee (exit 1 when missed)",
     )
-    p_overload.add_argument(
-        "--timeline", action="store_true",
-        help="sample a timeline/v1 trajectory per rate (the brownout-"
-        "level staircase, byte-identical on replay)",
-    )
-    p_overload.add_argument(
-        "--timeline-tick-s", type=float, default=None, metavar="S",
-        help="timeline tick spacing in virtual seconds (default 0.05)",
-    )
-    p_overload.add_argument(
-        "--out", metavar="PATH", default="BENCH_overload.json",
-        help="where to write the bench-overload/v1 document",
-    )
+    _defaults_from(p, OVERLOAD_DEFAULTS, out="BENCH_overload.json")
 
-    p_top = sub.add_parser(
-        "top",
-        help="live terminal view of a serving endpoint: poll metrics "
+    p = _verb(
+        sub, "top",
+        "live terminal view of a serving endpoint: poll metrics "
         "and timeline ops, render counters and queue/brownout "
         "sparklines (like top(1) for the knapsack service)",
+        *_INSTANCE, "cap",
     )
-    p_top.add_argument(
+    p.add_argument(
         "--connect", metavar="HOST:PORT", default=None,
         help="poll a running 'loadgen --listen' endpoint (default: "
         "spawn an in-process endpoint and drive it with light traffic)",
     )
-    p_top.add_argument(
+    p.add_argument(
         "--interval", type=float, default=1.0,
         help="seconds between polls / screen refreshes",
     )
-    p_top.add_argument(
+    p.add_argument(
         "--iterations", type=int, default=0, metavar="N",
         help="stop after N refreshes (0 = run until Ctrl-C)",
     )
-    p_top.add_argument(
+    p.add_argument(
         "--no-clear", action="store_true",
         help="append frames instead of clearing the screen (for logs "
         "and tests)",
     )
-    p_top.add_argument("--family", default="uniform", choices=sorted(FAMILIES))
-    p_top.add_argument("--n", type=int, default=2000, help="spawned endpoint: instance size")
-    p_top.add_argument("--seed", type=int, default=0)
-    p_top.add_argument("--epsilon", type=float, default=0.1)
-    p_top.add_argument("--lca-seed", type=int, default=42)
-    p_top.add_argument(
-        "--cap", type=int, default=4_000,
-        help="spawned endpoint: cap m_large / n_rq for speed",
-    )
+    # The spawned endpoint is the one ``loadgen --listen`` serves.
+    _defaults_from(p, LOAD_DEFAULTS)
 
-    p_suite = sub.add_parser(
-        "suite",
-        help="run a declarative scenario matrix and write suite-report/v1 "
+    p = _verb(
+        sub, "suite",
+        "run a declarative scenario matrix and write suite-report/v1 "
         "(pass a matrix file, or a previous report to rerun it "
         "byte-identically from its embedded config)",
+        "out",
     )
-    p_suite.add_argument(
+    p.add_argument(
         "matrix",
         help="path to a suite matrix JSON (benchmarks/suites/*.json) or a "
         "suite-report/v1 document to rerun",
     )
-    p_suite.add_argument(
+    p.add_argument(
         "--filter", default=None, metavar="SUBSTR",
         help="run only cells whose id contains this substring",
     )
-    p_suite.add_argument(
+    p.add_argument(
         "--cell", action="append", default=None, metavar="ID",
         help="run only this cell id (repeatable)",
     )
-    p_suite.add_argument(
-        "--out", metavar="PATH", default="suite_report.json",
-        help="where to write the suite-report/v1 document",
-    )
+    p.set_defaults(out="suite_report.json")
 
-    p_bench = sub.add_parser(
-        "bench", help="measure serving throughput and write BENCH_serve.json"
+    p = _verb(
+        sub, "bench", "measure serving throughput and write BENCH_serve.json",
+        *_INSTANCE, "out",
     )
-    p_bench.add_argument("--family", default="uniform", choices=sorted(FAMILIES))
-    p_bench.add_argument("--n", type=int, default=5000)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--epsilon", type=float, default=0.1)
-    p_bench.add_argument("--lca-seed", type=int, default=7)
-    p_bench.add_argument("--queries", type=int, default=1000)
-    p_bench.add_argument("--batch", type=int, default=100)
-    p_bench.add_argument("--workers", type=int, default=4)
-    p_bench.add_argument(
+    p.add_argument("--queries", type=int, default=1000)
+    p.add_argument("--batch", type=int, default=100)
+    p.add_argument("--workers", type=int, default=4)
+    p.add_argument(
         "--baseline-queries", type=int, default=20,
         help="queries for the per-query baseline (each runs a full pipeline)",
     )
-    p_bench.add_argument(
-        "--out", metavar="PATH", default="BENCH_serve.json",
-        help="where to write the bench-result/v1 document",
+    p.set_defaults(
+        family="uniform", n=5000, seed=0, epsilon=0.1, lca_seed=7, out="BENCH_serve.json"
     )
 
-    p_cold = sub.add_parser(
-        "bench-cold",
-        help="measure cold-pipeline latency (columnar block path vs object path) "
+    p = _verb(
+        sub, "bench-cold",
+        "measure cold-pipeline latency (columnar block path vs object path) "
         "and write BENCH_cold.json",
+        *_INSTANCE, "out",
     )
-    p_cold.add_argument("--family", default="planted_lsg", choices=sorted(FAMILIES))
-    p_cold.add_argument("--n", type=int, default=20_000)
-    p_cold.add_argument("--seed", type=int, default=0)
-    p_cold.add_argument("--epsilon", type=float, default=0.1)
-    p_cold.add_argument("--lca-seed", type=int, default=7)
-    p_cold.add_argument(
+    p.add_argument(
         "--queries", type=int, default=5, help="cold pipeline runs per path"
     )
-    p_cold.add_argument(
-        "--out", metavar="PATH", default="BENCH_cold.json",
-        help="where to write the bench-result/v1 document",
-    )
-    p_cold.add_argument(
-        "--sweep", metavar="NS", default=None,
+    p.add_argument(
+        "--sweep", metavar="NS", type=_INTS, default=None,
         help="comma-separated instance sizes for an n-axis sweep "
         "(e.g. 10000,100000,1000000); overrides --n",
     )
+    p.set_defaults(
+        family="planted_lsg", n=20_000, seed=0, epsilon=0.1, lca_seed=7,
+        out="BENCH_cold.json",
+    )
 
-    p_shm = sub.add_parser(
-        "bench-shm",
-        help="sweep the shared-memory instance tier across n (pickled vs "
+    p = _verb(
+        sub, "bench-shm",
+        "sweep the shared-memory instance tier across n (pickled vs "
         "zero-copy process shards, RSS + spin-up columns) and write "
         "BENCH_shm.json",
+        "family", "seed", "epsilon", "lca_seed", "out",
     )
-    p_shm.add_argument("--family", default="planted_lsg", choices=sorted(FAMILIES))
-    p_shm.add_argument(
-        "--sizes", default="20000",
+    p.add_argument(
+        "--sizes", type=_INTS,
         help="comma-separated instance sizes (e.g. 20000,10000000,100000000)",
     )
-    p_shm.add_argument("--seed", type=int, default=0)
-    p_shm.add_argument("--epsilon", type=float, default=0.1)
-    p_shm.add_argument("--lca-seed", type=int, default=7)
-    p_shm.add_argument("--queries", type=int, default=32, help="queries per serving row")
-    p_shm.add_argument("--workers", type=int, default=2)
-    p_shm.add_argument(
+    p.add_argument("--queries", type=int, default=32, help="queries per serving row")
+    p.add_argument("--workers", type=int, default=2)
+    p.add_argument(
         "--pickled-max-n", type=int, default=10_000_000,
         help="largest n still measured through the legacy pickled path",
     )
-    p_shm.add_argument(
-        "--rerun-sizes", default=None,
+    p.add_argument(
+        "--rerun-sizes", type=_INTS, default=None,
         help="sizes the committed baseline advertises for obs-diff reruns "
         "(default: the sizes <= 100000 from --sizes)",
     )
-    p_shm.add_argument(
-        "--out", metavar="PATH", default="BENCH_shm.json",
-        help="where to write the bench-result/v1 document",
+    p.set_defaults(
+        family="planted_lsg", sizes=[20_000], seed=0, epsilon=0.1, lca_seed=7,
+        out="BENCH_shm.json",
     )
 
-    p_shmstat = sub.add_parser(
+    p = sub.add_parser(
         "shm-stats",
         help="print shared-memory tier accounting (owned segments, orphan "
         "scan, counters, process memory)",
     )
-    p_shmstat.add_argument(
+    p.add_argument(
         "--json", metavar="PATH", default=None,
         help="also write the stats object as JSON",
     )
 
-    p_chaos = sub.add_parser(
-        "chaos",
-        help="run a seeded fault-injection sweep and write chaos-report/v1",
+    p = _verb(
+        sub, "chaos", "run a seeded fault-injection sweep and write chaos-report/v1",
+        "family", "n", "chaos_seed", "epsilon", "lca_seed", "cap", "out",
     )
-    p_chaos.add_argument("--family", default="uniform", choices=sorted(FAMILIES))
-    p_chaos.add_argument("--n", type=int, default=2000)
-    p_chaos.add_argument("--instance-seed", type=int, default=0)
-    p_chaos.add_argument(
-        "--seed", type=int, default=7,
-        help="chaos seed: drives the workload, the fault coins and the retry jitter",
-    )
-    p_chaos.add_argument("--epsilon", type=float, default=0.1)
-    p_chaos.add_argument("--lca-seed", type=int, default=42, help="the shared random string r")
-    p_chaos.add_argument("--queries", type=int, default=40, help="queries per batch")
-    p_chaos.add_argument("--batches", type=int, default=3, help="batches per fault rate")
-    p_chaos.add_argument(
-        "--rates", default="0.0,0.05,0.1",
+    p.add_argument("--queries", type=int, help="queries per batch")
+    p.add_argument("--batches", type=int, help="batches per fault rate")
+    p.add_argument(
+        "--rates", type=_FLOATS,
         help="comma-separated probe-failure rates to sweep",
     )
-    p_chaos.add_argument(
-        "--target", type=float, default=0.99,
+    p.add_argument(
+        "--target", dest="availability_target", type=float,
         help="required non-degraded availability at every rate",
     )
-    p_chaos.add_argument("--retries", type=int, default=3, help="retry budget per probe")
-    p_chaos.add_argument(
-        "--cap", type=int, default=4_000,
-        help="cap m_large / n_rq for speed (0 keeps the full calibrated sizes)",
-    )
-    p_chaos.add_argument(
-        "--out", metavar="PATH", default="chaos_report.json",
-        help="where to write the chaos-report/v1 document",
-    )
+    p.add_argument("--retries", type=int, help="retry budget per probe")
+    _defaults_from(p, CHAOS_DEFAULTS, out="chaos_report.json")
 
-    p_flight = sub.add_parser(
-        "flightrec",
-        help="replay a seeded faulty workload and print the flight-recorder timeline",
+    p = _verb(
+        sub, "flightrec",
+        "replay a seeded faulty workload and print the flight-recorder timeline",
+        "family", "n", "chaos_seed", "epsilon", "lca_seed", "cap", "out",
     )
-    p_flight.add_argument("--family", default="uniform", choices=sorted(FAMILIES))
-    p_flight.add_argument("--n", type=int, default=2000)
-    p_flight.add_argument("--instance-seed", type=int, default=0)
-    p_flight.add_argument(
-        "--seed", type=int, default=7,
-        help="chaos seed: drives the workload, the fault coins and the retry jitter",
-    )
-    p_flight.add_argument("--epsilon", type=float, default=0.1)
-    p_flight.add_argument("--lca-seed", type=int, default=42, help="the shared random string r")
-    p_flight.add_argument("--queries", type=int, default=20, help="queries per batch")
-    p_flight.add_argument("--batches", type=int, default=2)
-    p_flight.add_argument(
+    p.add_argument("--queries", type=int, help="queries per batch")
+    p.add_argument("--batches", type=int)
+    p.add_argument(
         "--rate", type=float, default=0.15, help="injected probe-failure rate"
     )
-    p_flight.add_argument(
-        "--corruption-rate", type=float, default=0.0, help="injected corruption rate"
+    p.add_argument(
+        "--corruption-rate", type=float, help="injected corruption rate"
     )
-    p_flight.add_argument("--retries", type=int, default=3, help="retry budget per probe")
-    p_flight.add_argument(
+    p.add_argument("--retries", type=int, help="retry budget per probe")
+    p.add_argument(
         "--audit", action="store_true",
         help="enable the probe plausibility audit (detects injected corruptions)",
     )
-    p_flight.add_argument(
-        "--cap", type=int, default=4_000,
-        help="cap m_large / n_rq for speed (0 keeps the full calibrated sizes)",
-    )
-    p_flight.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="write the events/v1 document here (sorted keys: deterministic bytes)",
-    )
-    p_flight.add_argument(
+    p.add_argument(
         "--spill", metavar="PATH", default=None,
         help="append ring-evicted events to this JSONL file (long runs keep "
         "a complete timeline on disk while memory stays bounded)",
     )
+    # A flight recording replays a (shorter) chaos workload.
+    _defaults_from(p, CHAOS_DEFAULTS, queries=20, batches=2)
 
-    p_diff = sub.add_parser(
-        "obs-diff",
-        help="compare two bench-result/v1 documents and flag perf regressions",
+    p = _verb(
+        sub, "obs-diff",
+        "compare two bench-result/v1 documents and flag perf regressions",
+        "out",
     )
-    p_diff.add_argument("baseline", help="baseline bench-result/v1 JSON path")
-    p_diff.add_argument(
+    p.add_argument("baseline", help="baseline bench-result/v1 JSON path")
+    p.add_argument(
         "candidate", nargs="?", default=None,
         help="candidate document (default: run a fresh quick bench and "
         "compare relative metrics only)",
     )
-    p_diff.add_argument(
+    p.add_argument(
         "--fresh", default=None,
         choices=("cold", "serve", "load", "overload", "chaos", "suite"),
         help="which quick bench to run when no candidate is given "
@@ -576,33 +558,28 @@ def _build_parser() -> argparse.ArgumentParser:
         "deterministic baselines — virtual-clock load, chaos, suite — "
         "are rerun exactly from their context)",
     )
-    p_diff.add_argument(
+    p.add_argument(
         "--threshold", type=float, default=1.75,
         help="relative noise allowance (a timing must exceed baseline x this to regress)",
     )
-    p_diff.add_argument(
+    p.add_argument(
         "--abs-floor-s", type=float, default=0.002,
         help="absolute excursion floor in seconds (sub-floor jitter never regresses)",
     )
-    p_diff.add_argument(
-        "--out", metavar="PATH", default=None,
-        help="write the bench-diff/v1 document here",
-    )
 
-    p_exp = sub.add_parser("experiment", help="run a DESIGN.md experiment")
-    p_exp.add_argument("name", choices=sorted(EXPERIMENTS))
-    p_exp.add_argument(
+    p = sub.add_parser("experiment", help="run a DESIGN.md experiment")
+    p.add_argument("name", choices=sorted(EXPERIMENTS))
+    p.add_argument(
         "--json",
         metavar="PATH",
         default=None,
         help="also write the result rows as JSON to PATH",
     )
 
-    p_report = sub.add_parser(
-        "report", help="run the whole experiment suite and write a markdown report"
+    p = _verb(
+        sub, "report", "run the whole experiment suite and write a markdown report", "out"
     )
-    p_report.add_argument("--scale", default="smoke", choices=("smoke", "full"))
-    p_report.add_argument("--out", default=None, help="write to this path (default: stdout)")
+    p.add_argument("--scale", default="smoke", choices=("smoke", "full"))
 
     sub.add_parser("demo", help="walk the Figure 1 reduction end to end")
     sub.add_parser("families", help="list instance generator families")
@@ -660,8 +637,7 @@ def _cmd_lca(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from .obs import runtime as obs_runtime
-    from .obs.export import render_span_tree, trace_document, write_json
-    from .obs.trace import phase_counts
+    from .obs.export import render_span_tree
 
     if args.batch is not None:
         return _trace_batch(args)
@@ -691,47 +667,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     print()
     print(render_span_tree(root))
     print()
-    by_phase_q = phase_counts(root, "queries")
-    by_phase_s = phase_counts(root, "samples")
-    by_phase_b = phase_counts(root, "sample_blocks")
-    q_attr, q_used = sum(by_phase_q.values()), oracle.queries_used
-    s_attr, s_used = sum(by_phase_s.values()), sampler.samples_used
-    b_attr, b_used = sum(by_phase_b.values()), sampler.blocks_used
-    print(f"oracle queries: {q_used} total, {q_attr} span-attributed "
-          f"({'exact' if q_attr == q_used else 'MISMATCH'})")
-    print(f"weighted samples: {s_used} total, {s_attr} span-attributed "
-          f"({'exact' if s_attr == s_used else 'MISMATCH'})")
-    print(f"sample blocks: {b_used} total, {b_attr} span-attributed "
-          f"({'exact' if b_attr == b_used else 'MISMATCH'})")
-    if by_phase_b:
-        per_phase = ", ".join(
-            f"{phase}={count}" for phase, count in sorted(by_phase_b.items())
-        )
-        print(f"  blocks by phase: {per_phase}")
-    if args.json:
-        doc = trace_document(
-            root,
-            family=args.family,
-            n=inst.n,
-            epsilon=args.epsilon,
-            lca_seed=args.lca_seed,
-            query=args.query,
-            include=answer.include,
-            reason=answer.reason,
-            oracle_queries=q_used,
-            sampler_samples=s_used,
-        )
-        write_json(args.json, doc)
-        print(f"\nwrote trace/v2 document to {args.json}")
-    if args.chrome:
-        from .obs.export import chrome_trace_document
-
-        write_json(args.chrome, chrome_trace_document(root))
-        print(
-            f"wrote Chrome trace-event JSON to {args.chrome} "
-            "(open in Perfetto or chrome://tracing)"
-        )
-    return 0 if (q_attr == q_used and s_attr == s_used and b_attr == b_used) else 1
+    used = (oracle.queries_used, sampler.samples_used, sampler.blocks_used)
+    return _check_partition(
+        root, args, inst.n, used, ("blocks",),
+        query=args.query, include=answer.include, reason=answer.reason,
+    )
 
 
 def _trace_batch(args: argparse.Namespace) -> int:
@@ -742,8 +682,7 @@ def _trace_batch(args: argparse.Namespace) -> int:
     either way the partition invariant below must hold on one tree.
     """
     from .obs import runtime as obs_runtime
-    from .obs.export import render_span_tree, trace_document, write_json
-    from .obs.trace import phase_counts
+    from .obs.export import render_span_tree
     from .serve import KnapsackService
 
     if args.batch < 1:
@@ -777,49 +716,67 @@ def _trace_batch(args: argparse.Namespace) -> int:
     print()
     print(render_span_tree(root))
     print()
-    by_phase_q = phase_counts(root, "queries")
-    by_phase_s = phase_counts(root, "samples")
-    by_phase_b = phase_counts(root, "sample_blocks")
-    q_attr, q_used = sum(by_phase_q.values()), service.queries_used
-    s_attr, s_used = sum(by_phase_s.values()), service.samples_used
-    b_attr, b_used = sum(by_phase_b.values()), service.blocks_used
-    print(f"oracle queries: {q_used} total, {q_attr} span-attributed "
-          f"({'exact' if q_attr == q_used else 'MISMATCH'})")
-    print(f"weighted samples: {s_used} total, {s_attr} span-attributed "
-          f"({'exact' if s_attr == s_used else 'MISMATCH'})")
-    print(f"sample blocks: {b_used} total, {b_attr} span-attributed "
-          f"({'exact' if b_attr == b_used else 'MISMATCH'})")
-    for label, by_phase in (("queries", by_phase_q), ("samples", by_phase_s)):
-        if by_phase:
+    used = (service.queries_used, service.samples_used, service.blocks_used)
+    return _check_partition(
+        root, args, inst.n, used, ("queries", "samples"),
+        batch=len(indices), workers=report.workers, executor=args.executor,
+        mode=report.mode,
+    )
+
+
+def _check_partition(
+    root, args, n: int, used: tuple[int, int, int], shown: tuple[str, ...], **fields
+) -> int:
+    """Check that the span tree under ``root`` attributes every oracle
+    query, weighted sample and sample block (``used``: the meters'
+    totals) to exactly one phase, print the per-phase breakdown of the
+    ``shown`` meters, and export the trace when ``--json``/``--chrome``
+    ask.  Returns the exit code: 0 iff every attribution is exact.
+    """
+    from .obs.export import chrome_trace_document, trace_document, write_json
+    from .obs.trace import phase_counts
+
+    exact = True
+    by_phase = {}
+    for (key, short, label), total in zip(
+        (
+            ("queries", "queries", "oracle queries"),
+            ("samples", "samples", "weighted samples"),
+            ("sample_blocks", "blocks", "sample blocks"),
+        ),
+        used,
+    ):
+        by_phase[short] = phase_counts(root, key)
+        attributed = sum(by_phase[short].values())
+        exact = exact and attributed == total
+        print(f"{label}: {total} total, {attributed} span-attributed "
+              f"({'exact' if attributed == total else 'MISMATCH'})")
+    for short in shown:
+        if by_phase[short]:
             per_phase = ", ".join(
-                f"{phase}={count}" for phase, count in sorted(by_phase.items())
+                f"{phase}={count}" for phase, count in sorted(by_phase[short].items())
             )
-            print(f"  {label} by phase: {per_phase}")
+            print(f"  {short} by phase: {per_phase}")
     if args.json:
         doc = trace_document(
             root,
             family=args.family,
-            n=inst.n,
+            n=n,
             epsilon=args.epsilon,
             lca_seed=args.lca_seed,
-            batch=len(indices),
-            workers=report.workers,
-            executor=args.executor,
-            mode=report.mode,
-            oracle_queries=q_used,
-            sampler_samples=s_used,
+            **fields,
+            oracle_queries=used[0],
+            sampler_samples=used[1],
         )
         write_json(args.json, doc)
         print(f"\nwrote trace/v2 document to {args.json}")
     if args.chrome:
-        from .obs.export import chrome_trace_document
-
         write_json(args.chrome, chrome_trace_document(root))
         print(
             f"wrote Chrome trace-event JSON to {args.chrome} "
             "(open in Perfetto or chrome://tracing)"
         )
-    return 0 if (q_attr == q_used and s_attr == s_used and b_attr == b_used) else 1
+    return 0 if exact else 1
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
@@ -956,9 +913,8 @@ def _cmd_bench_cold(args: argparse.Namespace) -> int:
     from .serve.bench import bench_cold_document, cold_pipeline_rows, cold_sweep_rows
 
     if args.sweep:
-        sizes = [int(s) for s in args.sweep.split(",") if s.strip()]
         rows = cold_sweep_rows(
-            sizes,
+            args.sweep,
             family=args.family,
             instance_seed=args.seed,
             epsilon=args.epsilon,
@@ -995,11 +951,10 @@ def _cmd_bench_shm(args: argparse.Namespace) -> int:
     from .obs.export import write_json
     from .serve.bench import bench_shm_document, shm_scale_rows
 
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    if args.rerun_sizes:
-        rerun_sizes = [int(s) for s in args.rerun_sizes.split(",") if s.strip()]
-    else:
-        rerun_sizes = [s for s in sizes if s <= 100_000] or sizes[:1]
+    sizes = args.sizes
+    rerun_sizes = (
+        args.rerun_sizes or [s for s in sizes if s <= 100_000] or sizes[:1]
+    )
     rows = shm_scale_rows(
         sizes,
         family=args.family,
@@ -1045,25 +1000,10 @@ def _cmd_shm_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from .obs.context import RunContext
+    from .faults.chaos import run_chaos
     from .obs.schema import BenchDocument
 
-    context = RunContext.build(
-        "chaos",
-        family=args.family,
-        n=args.n,
-        instance_seed=args.instance_seed,
-        epsilon=args.epsilon,
-        chaos_seed=args.seed,
-        lca_seed=args.lca_seed,
-        rates=[float(r) for r in args.rates.split(",") if r.strip()],
-        queries=args.queries,
-        batches=args.batches,
-        availability_target=args.target,
-        retries=args.retries,
-        cap=args.cap,
-    )
-    doc = context.rerun()
+    doc = run_chaos(vars(args))
     # Sorted keys + no timing fields: the same seed must produce the
     # same bytes (the CI chaos-smoke job diffs two runs).
     BenchDocument("chaos", doc, deterministic=True).write(args.out)
@@ -1081,7 +1021,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     ]
     print(
         f"chaos: family={args.family} n={doc['n']} eps={args.epsilon} "
-        f"chaos_seed={args.seed} lca_seed={args.lca_seed} "
+        f"chaos_seed={args.chaos_seed} lca_seed={args.lca_seed} "
         f"(deterministic: same seeds => byte-identical report)"
     )
     print(
@@ -1100,7 +1040,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_flightrec(args: argparse.Namespace) -> int:
-    from .core.parameters import LCAParameters
     from .faults import FaultPlan, RetryPolicy
     from .obs import runtime as obs_runtime
     from .obs.events import events_document, render_timeline
@@ -1108,13 +1047,8 @@ def _cmd_flightrec(args: argparse.Namespace) -> int:
     from .serve import KnapsackService
 
     inst = generate(args.family, args.n, seed=args.instance_seed)
-    params = None
-    if args.cap:
-        params = LCAParameters.calibrated(
-            args.epsilon, max_nrq=args.cap, max_m_large=args.cap
-        )
     plan = FaultPlan(
-        seed=args.seed,
+        seed=args.chaos_seed,
         probe_failure_rate=args.rate,
         corruption_rate=args.corruption_rate,
     )
@@ -1125,17 +1059,17 @@ def _cmd_flightrec(args: argparse.Namespace) -> int:
     if args.spill:
         obs_runtime.RECORDER.set_spill(args.spill)
     obs_runtime.RECORDER.clear()
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(args.chaos_seed)
     indices = [int(i) for i in rng.integers(inst.n, size=args.queries)]
     degraded = 0
     with KnapsackService(
         inst,
         args.epsilon,
         seed=args.lca_seed,
-        params=params,
+        params=LCAParameters.capped(args.epsilon, args.cap),
         cache=False,
         fault_plan=plan,
-        retry_policy=RetryPolicy(max_retries=args.retries, seed=args.seed),
+        retry_policy=RetryPolicy(max_retries=args.retries, seed=args.chaos_seed),
         strict=False,
         probe_audit=args.audit,
     ) as service:
@@ -1147,7 +1081,7 @@ def _cmd_flightrec(args: argparse.Namespace) -> int:
         family=args.family,
         n=inst.n,
         epsilon=args.epsilon,
-        chaos_seed=args.seed,
+        chaos_seed=args.chaos_seed,
         lca_seed=args.lca_seed,
         queries=args.queries,
         batches=args.batches,
@@ -1181,39 +1115,13 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         return _loadgen_listen(args)
     if args.connect:
         return _loadgen_connect(args)
-    cfg = {
-        "family": args.family,
-        "n": args.n,
-        "seed": args.seed,
-        "epsilon": args.epsilon,
-        "lca_seed": args.lca_seed,
-        "rates": [float(r) for r in args.rates.split(",") if r.strip()],
-        "queries": args.queries,
-        "arrival": args.arrival,
-        "workers": args.workers,
-        "queue_cap": args.queue_cap,
-        "batch_max": args.batch_max,
-        "clock": args.clock,
-        "nonce": args.nonce,
-        "base_s": args.base_s,
-        "per_query_s": args.per_query_s,
-        "jitter": args.jitter,
-        "fault_rate": args.fault_rate,
-        "retries": args.retries,
-        "cap": args.cap,
-        "shared_instance": args.shared_instance,
-        "service_workers": args.service_workers,
-        "timeline": args.timeline,
-    }
-    if args.timeline_tick_s is not None:
-        cfg["timeline_tick_s"] = args.timeline_tick_s
     if args.fault_rate > 0.0 and args.clock == "virtual":
         print(
             "note: --fault-rate only bites under --clock wall "
             "(the virtual clock simulates service time, not the service)",
             file=sys.stderr,
         )
-    rows, knee, doc = run_load_sweep(cfg)
+    rows, knee, doc = run_load_sweep(vars(args))
     shown = [
         {
             k: r[k]
@@ -1254,27 +1162,7 @@ def _cmd_overload(args: argparse.Namespace) -> int:
     from .load.overload_sweep import run_overload_sweep
     from .obs.schema import BenchDocument
 
-    cfg = {
-        "family": args.family,
-        "n": args.n,
-        "seed": args.seed,
-        "epsilon": args.epsilon,
-        "lca_seed": args.lca_seed,
-        "rates": [float(r) for r in args.rates.split(",") if r.strip()],
-        "queries": args.queries,
-        "workers": args.workers,
-        "queue_cap": args.queue_cap,
-        "batch_max": args.batch_max,
-        "nonce": args.nonce,
-        "cap": args.cap,
-        "deadline_s": args.deadline_s,
-        "overload_factor": args.overload_factor,
-        "availability_floor": args.availability_floor,
-        "timeline": args.timeline,
-    }
-    if args.timeline_tick_s is not None:
-        cfg["timeline_tick_s"] = args.timeline_tick_s
-    rows, knee, doc = run_overload_sweep(cfg)
+    rows, knee, doc = run_overload_sweep(vars(args))
     keys = (
         "mode", "offered_qps", "completed", "dropped", "degraded",
         "deadline_shed", "brownout_shed", "availability", "full_quality",
@@ -1323,16 +1211,10 @@ def _cmd_overload(args: argparse.Namespace) -> int:
 def _loadgen_listen(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .core.parameters import LCAParameters
     from .load.endpoint import serve_endpoint
     from .serve import KnapsackService
 
     inst = generate(args.family, args.n, seed=args.seed)
-    params = None
-    if args.cap:
-        params = LCAParameters.calibrated(
-            args.epsilon, max_nrq=args.cap, max_m_large=args.cap
-        )
 
     async def run(service) -> None:
         server = await serve_endpoint(
@@ -1356,7 +1238,8 @@ def _loadgen_listen(args: argparse.Namespace) -> int:
             await server.serve_forever()
 
     with KnapsackService(
-        inst, args.epsilon, seed=args.lca_seed, params=params, cache_capacity=8
+        inst, args.epsilon, seed=args.lca_seed,
+        params=LCAParameters.capped(args.epsilon, args.cap), cache_capacity=8,
     ) as service:
         try:
             asyncio.run(run(service))
@@ -1377,18 +1260,18 @@ def _loadgen_connect(args: argparse.Namespace) -> int:
     from .load import EndpointClient, LoadHarness
     from .obs.export import write_json
 
-    host, _, port = args.connect.rpartition(":")
-    if not host or not port.isdigit():
-        print(f"--connect needs HOST:PORT, got {args.connect!r}", file=sys.stderr)
+    address = _connect_address(args.connect)
+    if address is None:
         return 2
+    host, port = address
     if args.clock != "wall":
         print(
             "note: --connect implies --clock wall (a remote endpoint "
             "cannot be virtually clocked)",
             file=sys.stderr,
         )
-    rates = [float(r) for r in args.rates.split(",") if r.strip()]
-    with EndpointClient(host, int(port)) as client:
+    rates = list(args.rates)
+    with EndpointClient(host, port) as client:
         harness = LoadHarness(
             client,
             seed=args.seed,
@@ -1438,6 +1321,16 @@ def _loadgen_connect(args: argparse.Namespace) -> int:
     return 0
 
 
+def _connect_address(text: str) -> tuple[str, int] | None:
+    """``(host, port)`` from a ``--connect HOST:PORT`` value, or ``None``
+    (after a usage message) when the value is malformed."""
+    host, _, port = text.rpartition(":")
+    if host and port.isdigit():
+        return host, int(port)
+    print(f"--connect needs HOST:PORT, got {text!r}", file=sys.stderr)
+    return None
+
+
 _SPARK_GLYPHS = "▁▂▃▄▅▆▇█"
 
 
@@ -1472,29 +1365,23 @@ def _cmd_top(args: argparse.Namespace) -> int:
         return 2
     spawned = service = None
     if args.connect:
-        host, _, port = args.connect.rpartition(":")
-        if not host or not port.isdigit():
-            print(f"--connect needs HOST:PORT, got {args.connect!r}", file=sys.stderr)
+        address = _connect_address(args.connect)
+        if address is None:
             return 2
-        port = int(port)
+        host, port = address
         endpoint_label = f"{host}:{port}"
     else:
         # Self-spawned endpoint: serve in a daemon thread, drive it with
         # light traffic from the poll loop so there is motion to watch.
         import asyncio
 
-        from .core.parameters import LCAParameters
         from .load.endpoint import serve_endpoint
         from .serve import KnapsackService
 
         inst = generate(args.family, args.n, seed=args.seed)
-        params = None
-        if args.cap:
-            params = LCAParameters.calibrated(
-                args.epsilon, max_nrq=args.cap, max_m_large=args.cap
-            )
         service = KnapsackService(
-            inst, args.epsilon, seed=args.lca_seed, params=params, cache_capacity=8
+            inst, args.epsilon, seed=args.lca_seed,
+            params=LCAParameters.capped(args.epsilon, args.cap), cache_capacity=8,
         )
         bound: dict = {}
         ready = threading.Event()

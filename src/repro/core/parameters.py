@@ -170,6 +170,13 @@ class LCAParameters:
             fidelity="calibrated",
         )
 
+    @classmethod
+    def capped(cls, epsilon: float, cap: int) -> "LCAParameters | None":
+        """:meth:`calibrated` with ``m_large`` and ``n_rq`` capped at
+        ``cap`` (the runs' speed knob); ``cap=0`` returns ``None``, which
+        leaves the full calibrated sizes to the callee."""
+        return cls.calibrated(epsilon, max_nrq=cap, max_m_large=cap) if cap else None
+
     # ------------------------------------------------------------------
     @property
     def eps_sq(self) -> float:

@@ -13,13 +13,14 @@ around every probe, every accounting face forwarded.  See
 """
 
 from .audit import ProbeAuditor
-from .chaos import CHAOS_SCHEMA, chaos_document, chaos_sweep
+from .chaos import CHAOS_DEFAULTS, CHAOS_SCHEMA, chaos_document, chaos_sweep, run_chaos
 from .injectors import FaultyAccess
 from .layer import ProbeLayer
 from .plan import FaultDecision, FaultPlan, FaultStream
 from .retry import TRANSIENT_FAULTS, RetryOutcome, RetryPolicy, RetryingAccess
 
 __all__ = [
+    "CHAOS_DEFAULTS",
     "CHAOS_SCHEMA",
     "FaultDecision",
     "FaultPlan",
@@ -33,4 +34,5 @@ __all__ = [
     "TRANSIENT_FAULTS",
     "chaos_document",
     "chaos_sweep",
+    "run_chaos",
 ]

@@ -19,11 +19,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.parameters import LCAParameters
 from ..errors import ReproError
+from ..knapsack.generators import generate
+from ..obs.context import CHAOS_DEFAULTS, RunContext
 from .plan import FaultPlan
 from .retry import RetryPolicy
 
-__all__ = ["CHAOS_SCHEMA", "chaos_sweep", "chaos_document"]
+__all__ = [
+    "CHAOS_DEFAULTS", "CHAOS_SCHEMA", "chaos_sweep", "chaos_document", "run_chaos",
+]
 
 CHAOS_SCHEMA = "chaos-report/v1"
 
@@ -42,17 +47,17 @@ def chaos_sweep(
     instance,
     *,
     epsilon: float,
-    lca_seed: int = 42,
-    chaos_seed: int = 7,
-    rates: tuple[float, ...] = (0.0, 0.05, 0.1),
-    queries: int = 40,
-    batches: int = 3,
-    availability_target: float = 0.99,
+    lca_seed: int = CHAOS_DEFAULTS["lca_seed"],
+    chaos_seed: int = CHAOS_DEFAULTS["chaos_seed"],
+    rates: tuple[float, ...] = CHAOS_DEFAULTS["rates"],
+    queries: int = CHAOS_DEFAULTS["queries"],
+    batches: int = CHAOS_DEFAULTS["batches"],
+    availability_target: float = CHAOS_DEFAULTS["availability_target"],
     params=None,
     retry: RetryPolicy | None = None,
-    corruption_rate: float = 0.0,
-    latency_spike_rate: float = 0.0,
-    audit: bool = False,
+    corruption_rate: float = CHAOS_DEFAULTS["corruption_rate"],
+    latency_spike_rate: float = CHAOS_DEFAULTS["latency_spike_rate"],
+    audit: bool = CHAOS_DEFAULTS["audit"],
     context=None,
 ) -> dict:
     """Run the sweep; returns a ``chaos-report/v1`` document (pure data).
@@ -72,7 +77,9 @@ def chaos_sweep(
         raise ReproError("chaos sweep needs queries >= 1 and batches >= 1")
     if not rates:
         raise ReproError("chaos sweep needs at least one fault rate")
-    retry = retry or RetryPolicy(max_retries=3, seed=int(chaos_seed))
+    retry = retry or RetryPolicy(
+        max_retries=CHAOS_DEFAULTS["retries"], seed=int(chaos_seed)
+    )
     idx_rng = np.random.default_rng(int(chaos_seed))
     indices = [int(i) for i in idx_rng.integers(instance.n, size=queries)]
     nonces = [200_000 + b for b in range(batches)]
@@ -158,6 +165,38 @@ def chaos_sweep(
         retry=retry,
         fault_free_equivalence=fault_free_equivalence,
         context=context,
+    )
+
+
+def run_chaos(cfg: dict) -> dict:
+    """Run one chaos sweep from a plain config dict.
+
+    Unknown keys are ignored and missing keys fall back to
+    :data:`CHAOS_DEFAULTS`.  The report's ``context`` block holds the
+    known keys exactly as given, so ``repro chaos`` and the rerun of its
+    report (:meth:`~repro.obs.context.RunContext.rerun`) produce the
+    same bytes.
+    """
+    given = {k: v for k, v in cfg.items() if k in CHAOS_DEFAULTS}
+    cfg = {**CHAOS_DEFAULTS, **given}
+    epsilon = float(cfg["epsilon"])
+    chaos_seed = int(cfg["chaos_seed"])
+    inst = generate(cfg["family"], int(cfg["n"]), seed=int(cfg["instance_seed"]))
+    return chaos_sweep(
+        inst,
+        epsilon=epsilon,
+        lca_seed=int(cfg["lca_seed"]),
+        chaos_seed=chaos_seed,
+        rates=tuple(float(r) for r in cfg["rates"]),
+        queries=int(cfg["queries"]),
+        batches=int(cfg["batches"]),
+        availability_target=float(cfg["availability_target"]),
+        params=LCAParameters.capped(epsilon, int(cfg["cap"])),
+        retry=RetryPolicy(max_retries=int(cfg["retries"]), seed=chaos_seed),
+        corruption_rate=float(cfg["corruption_rate"]),
+        latency_spike_rate=float(cfg["latency_spike_rate"]),
+        audit=bool(cfg["audit"]),
+        context=RunContext(bench="chaos", config=given),
     )
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from ..core.parameters import LCAParameters
 from ..knapsack.generators import generate
+from ..obs.context import OVERLOAD_DEFAULTS
 from ..serve import KnapsackService
 from ..serve.overload import BrownoutConfig
 from .clock import ServiceModel
@@ -43,40 +44,6 @@ from .harness import LoadHarness
 __all__ = ["BENCH_OVERLOAD_SCHEMA", "OVERLOAD_DEFAULTS", "run_overload_sweep"]
 
 BENCH_OVERLOAD_SCHEMA = "bench-overload/v1"
-
-#: Full default configuration of an overload sweep; a baseline
-#: document's ``context`` block overrides any subset of these.  A
-#: single slow server (``workers=1, batch_max=1``) pins the virtual
-#: capacity at ``1 / (base_s + per_query_s)`` = 400 q/s, so the default
-#: rates straddle the knee and ``overload_factor`` times the knee is
-#: genuinely past capacity.
-OVERLOAD_DEFAULTS = {
-    "family": "uniform",
-    "n": 2000,
-    "seed": 0,
-    "epsilon": 0.1,
-    "lca_seed": 42,
-    "rates": (100.0, 200.0, 400.0, 800.0),
-    "queries": 300,
-    "arrival": "poisson",
-    "workers": 1,
-    "queue_cap": 256,
-    "batch_max": 1,
-    "clock": "virtual",
-    "nonce": 0,
-    "base_s": 0.002,
-    "per_query_s": 0.0005,
-    "jitter": 0.0,
-    "cap": 4_000,
-    # Governor knobs.
-    "deadline_s": 0.05,
-    "high_fraction": 0.5,
-    "low_fraction": 0.125,
-    "wait_target_s": 0.025,
-    "patience": 3,
-    "overload_factor": 2.0,
-    "availability_floor": 0.9,
-}
 
 
 def _goodput(row: dict) -> dict:
@@ -115,11 +82,7 @@ def run_overload_sweep(cfg: dict) -> tuple[list[dict], dict, dict]:
         **{k: v for k, v in cfg.items() if k in OVERLOAD_DEFAULTS},
     }
     inst = generate(cfg["family"], int(cfg["n"]), seed=int(cfg["seed"]))
-    params = None
-    if cfg["cap"]:
-        params = LCAParameters.calibrated(
-            float(cfg["epsilon"]), max_nrq=int(cfg["cap"]), max_m_large=int(cfg["cap"])
-        )
+    params = LCAParameters.capped(float(cfg["epsilon"]), int(cfg["cap"]))
     model = ServiceModel(
         base_s=float(cfg["base_s"]),
         per_query_s=float(cfg["per_query_s"]),

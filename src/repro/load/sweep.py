@@ -1,7 +1,6 @@
 """One open-loop load sweep from a plain config dict.
 
-This is the public home of what used to be private CLI plumbing
-(``_run_load_sweep``/``_LOAD_DEFAULTS``): the config vocabulary *is*
+The config vocabulary (:data:`~repro.obs.context.LOAD_DEFAULTS`) *is*
 the ``context`` block a ``bench-load/v1`` document stores, so a
 committed document fully describes its own rerun.  Three callers share
 it — ``repro loadgen``, the ``obs-diff --fresh`` rerun path (via
@@ -14,42 +13,12 @@ from __future__ import annotations
 from ..core.parameters import LCAParameters
 from ..faults import FaultPlan, RetryPolicy
 from ..knapsack.generators import generate
+from ..obs.context import LOAD_DEFAULTS
 from ..serve import KnapsackService
 from .clock import ServiceModel
 from .harness import LoadHarness, bench_load_document
 
 __all__ = ["LOAD_DEFAULTS", "run_load_sweep"]
-
-#: Full default configuration of a load sweep; a baseline document's
-#: ``context`` block overrides any subset of these.
-LOAD_DEFAULTS = {
-    "family": "uniform",
-    "n": 2000,
-    "seed": 0,
-    "epsilon": 0.1,
-    "lca_seed": 42,
-    "rates": (50.0, 100.0, 200.0, 400.0, 800.0),
-    "queries": 200,
-    "arrival": "poisson",
-    "workers": 2,
-    "queue_cap": 256,
-    "batch_max": 16,
-    "clock": "virtual",
-    "nonce": 0,
-    "base_s": 0.002,
-    "per_query_s": 0.0005,
-    "jitter": 0.0,
-    "fault_rate": 0.0,
-    "retries": 0,
-    "cap": 4_000,
-    # Shared-memory instance tier (ROADMAP item: pin the n=10^7 shared
-    # tier under open-loop load).  ``shared_instance`` switches the
-    # service to process shards attaching one zero-copy segment;
-    # ``service_workers`` > 1 shards each dispatched batch across that
-    # pool (0 keeps the historical serial dispatch).
-    "shared_instance": False,
-    "service_workers": 0,
-}
 
 
 def run_load_sweep(cfg: dict) -> tuple[list[dict], dict, dict]:
@@ -67,11 +36,7 @@ def run_load_sweep(cfg: dict) -> tuple[list[dict], dict, dict]:
     timeline_tick_s = cfg.get("timeline_tick_s")
     cfg = {**LOAD_DEFAULTS, **{k: v for k, v in cfg.items() if k in LOAD_DEFAULTS}}
     inst = generate(cfg["family"], int(cfg["n"]), seed=int(cfg["seed"]))
-    params = None
-    if cfg["cap"]:
-        params = LCAParameters.calibrated(
-            float(cfg["epsilon"]), max_nrq=int(cfg["cap"]), max_m_large=int(cfg["cap"])
-        )
+    params = LCAParameters.capped(float(cfg["epsilon"]), int(cfg["cap"]))
     plan = None
     policy = None
     if float(cfg["fault_rate"]) > 0.0:

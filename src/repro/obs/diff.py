@@ -178,7 +178,7 @@ def _row_key(row: dict) -> tuple:
 
 def _key_label(key: tuple) -> str:
     mode, n, family, rate, clock = key
-    parts = [str(mode)]
+    parts = [] if mode is None else [str(mode)]
     if n is not None:
         parts.append(f"n={n}")
     if family is not None:

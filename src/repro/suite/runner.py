@@ -237,11 +237,8 @@ class SuiteRunner:
     def _params(self, cell: ScenarioCell):
         from ..core.parameters import LCAParameters
 
-        if cell.cap:
-            return LCAParameters.calibrated(
-                cell.epsilon, max_nrq=cell.cap, max_m_large=cell.cap
-            )
-        return LCAParameters.calibrated(cell.epsilon)
+        params = LCAParameters.capped(cell.epsilon, cell.cap)
+        return params or LCAParameters.calibrated(cell.epsilon)
 
     def _service(self, cell: ScenarioCell, inst, params, *, kill_rate: float = 0.0):
         """The cell's service: probe faults from its oracle model, shard

@@ -61,6 +61,26 @@ class TestCLI:
             main(["frobnicate"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["loadgen", "--rates", "50,abc"],
+        ["loadgen", "--rates", ""],
+        ["overload", "--rates", "100,x"],
+        ["chaos", "--rates", ""],
+        ["bench-cold", "--sweep", "1000,x"],
+        ["bench-shm", "--sizes", ","],
+        ["bench-shm", "--rerun-sizes", "20000,y"],
+    ],
+)
+def test_bad_comma_list_is_a_usage_error(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "out.json")])
+    assert exc.value.code == 2
+    assert "expected" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
 class TestExperimentCommand:
     def test_experiment_with_json(self, capsys, tmp_path, monkeypatch):
         # Patch in a tiny experiment so the CLI path stays fast.

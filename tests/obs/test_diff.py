@@ -116,6 +116,19 @@ class TestDiffDocuments:
         out = diff_documents(base, cand)
         assert out["rows_compared"] == 0
 
+    def test_rows_without_mode_are_labelled_by_their_key_alone(self):
+        # chaos-report rows carry a fault rate but no mode.
+        doc = {
+            "schema": "chaos-report/v1",
+            "name": "chaos_sweep",
+            "rows": [
+                {"probe_failure_rate": 0.0, "availability": 1.0},
+                {"probe_failure_rate": 0.05, "availability": 1.0},
+            ],
+        }
+        out = diff_documents(doc, doc)
+        assert {f["row"] for f in out["findings"]} == {"rate=0", "rate=0.05"}
+
     def test_threshold_must_exceed_one(self):
         doc = bench_doc([row()])
         with pytest.raises(ValueError):
