@@ -134,16 +134,16 @@ class QueryOracle:
         """
         idx = [int(i) for i in indices]
         remaining = self.remaining
-        arr = np.asarray(idx, dtype=np.int64)
         fast = (
             (remaining is None or remaining >= len(idx))
             and isinstance(self._instance, KnapsackInstance)
-            and (arr.size == 0 or (arr.min() >= 0 and arr.max() < self._instance.n))
+            and (not idx or (min(idx) >= 0 and max(idx) < self._instance.n))
         )
         if not fast:
             return self._query_each(idx)
         self._queries += len(idx)
         _obs.record_oracle_queries(len(idx))
+        arr = np.asarray(idx, dtype=np.int64)
         profits = self._instance.profits[arr]
         weights = self._instance.weights[arr]
         return SampleBlock(arr, profits, weights)

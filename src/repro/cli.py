@@ -67,6 +67,7 @@ from .analysis import experiments as exps
 from .analysis.tables import format_row_dicts, format_table
 from .core.lca_kp import LCAKP
 from .core.parameters import LCAParameters
+from .errors import ReproError
 from .knapsack import FAMILIES, generate
 from .knapsack.solvers import (
     fractional_upper_bound,
@@ -1565,8 +1566,6 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     from .obs.schema import BenchDocument
     from .suite import SuiteConfig, SuiteRunner
 
-    from .errors import ReproError
-
     try:
         config = SuiteConfig.from_file(args.matrix)
         if args.filter or args.cell:
@@ -1711,7 +1710,13 @@ def main(argv: list[str] | None = None) -> int:
         "demo": _cmd_demo,
         "families": _cmd_families,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ReproError as exc:
+        # A value the parser accepted but the library rejects (a negative
+        # arrival rate, a fault rate above 1) is a usage error too.
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

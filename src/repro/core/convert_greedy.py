@@ -80,20 +80,27 @@ class ConvertGreedyResult:
         eff = efficiency(profit, weight)
         return eff >= eps_sq and eff >= self.e_small
 
-    def decide_many(self, profits, weights, indices) -> np.ndarray:
+    def decide_many(self, profits, weights, indices) -> np.ndarray | list[bool]:
         """Vectorized :meth:`decide` over parallel arrays.
 
-        Returns a boolean array; element ``k`` equals
+        Returns a boolean sequence; element ``k`` equals
         ``decide(profits[k], weights[k], indices[k])`` exactly — the
         serving hot path depends on bit-identity with the scalar rule.
+        A one-row input is answered by :meth:`decide` itself (a list),
+        which skips the numpy set-up a single item does not amortize.
         """
+        if len(indices) == 1:
+            return [
+                self.decide(float(profits[0]), float(weights[0]), int(indices[0]))
+            ]
         p = np.asarray(profits, dtype=float)
         w = np.asarray(weights, dtype=float)
         idx = np.asarray(indices, dtype=np.int64)
         eps_sq = self.epsilon * self.epsilon
-        if self.index_large:
-            large = np.fromiter(self.index_large, dtype=np.int64)
-            include = np.isin(idx, large)
+        large = self.sorted_large()
+        if large.size:
+            pos = np.searchsorted(large, idx)
+            include = large.take(pos, mode="clip") == idx
         else:
             include = np.zeros(idx.shape, dtype=bool)
         if not self.b_indicator and self.e_small is not None:
@@ -105,6 +112,28 @@ class ConvertGreedyResult:
                 & (eff >= self.e_small)
             )
         return include
+
+    def sorted_large(self) -> np.ndarray:
+        """``index_large`` as a sorted int64 array, built once per rule.
+
+        Memoized on this (frozen) object like
+        :meth:`~repro.core.lca_kp.PipelineResult.summary`: the memo is
+        not a field, so ``==``, ``repr`` and pickles ignore it.  Threads
+        racing to fill it compute equal arrays, so no lock.
+        """
+        large = self.__dict__.get("_sorted_large")
+        if large is None:
+            large = np.array(sorted(self.index_large), dtype=np.int64)
+            large.setflags(write=False)
+            object.__setattr__(self, "_sorted_large", large)
+        return large
+
+    def __getstate__(self) -> dict:
+        # Pickle the fields only: a rule that has served answers pickles
+        # to the same bytes as a fresh one.
+        state = dict(self.__dict__)
+        state.pop("_sorted_large", None)
+        return state
 
 
 def convert_greedy(simplified: SimplifiedInstance) -> ConvertGreedyResult:

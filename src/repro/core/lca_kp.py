@@ -415,10 +415,11 @@ class LCAKP:
         This is the caller-amortization hot path (the serving engine's
         cache hit): one columnar :meth:`~repro.access.QueryOracle.query_block`
         reveal per batch, then the decision rule applied as a single
-        vectorized pass (``decide_many``) instead of a Python-level
-        loop.  Answers are bit-identical to calling :meth:`answer` per
-        index with this pipeline's nonce — the decision is a pure
-        function of (pipeline, item).
+        vectorized pass (``decide_many``; a one-item batch takes the
+        scalar rule) instead of a Python-level loop.  Answers are
+        bit-identical to calling :meth:`answer` per index with this
+        pipeline's nonce — the decision is a pure function of
+        (pipeline, item).
         """
         idx = [int(i) for i in indices]
         with _obs.span("oracle.reveal"):
@@ -428,8 +429,8 @@ class LCAKP:
         )
         summary = pipeline.summary()
         items = [
-            Item(float(p), float(w))
-            for p, w in zip(block.profits, block.weights)
+            Item(p, w)
+            for p, w in zip(block.profits.tolist(), block.weights.tolist())
         ]
         return [
             LCAAnswer(

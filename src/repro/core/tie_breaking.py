@@ -82,13 +82,19 @@ class TieBreakingRule:
             return False
         return self.coin(original_index) < self.fraction
 
-    def decide_many(self, profits, weights, indices) -> np.ndarray:
+    def decide_many(self, profits, weights, indices) -> np.ndarray | list[bool]:
         """Vectorized :meth:`decide`: base rule plus per-item coins.
 
         The base threshold is evaluated as one numpy pass; coins are
         then tossed only for the (typically few) items that land in the
-        cut band, so the hot path stays vectorized outside the band.
+        cut band, so the hot path stays vectorized outside the band.  A
+        one-row input is answered by :meth:`decide` itself, as in
+        :meth:`ConvertGreedyResult.decide_many`.
         """
+        if len(indices) == 1:
+            return [
+                self.decide(float(profits[0]), float(weights[0]), int(indices[0]))
+            ]
         p = np.asarray(profits, dtype=float)
         w = np.asarray(weights, dtype=float)
         idx = np.asarray(indices, dtype=np.int64)

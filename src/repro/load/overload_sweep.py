@@ -40,6 +40,7 @@ from ..serve import KnapsackService
 from ..serve.overload import BrownoutConfig
 from .clock import ServiceModel
 from .harness import LoadHarness
+from .sweep import SweepConfig
 
 __all__ = ["BENCH_OVERLOAD_SCHEMA", "OVERLOAD_DEFAULTS", "run_overload_sweep"]
 
@@ -72,15 +73,8 @@ def run_overload_sweep(cfg: dict) -> tuple[list[dict], dict, dict]:
     the document's ``comparison`` block is the governed verdict at
     ``overload_factor`` times the detected knee.
     """
-    # Timeline knobs ride outside OVERLOAD_DEFAULTS (read raw, before
-    # the known-keys filter) so sampler-off documents keep their exact
-    # pre-timeline bytes; see run_load_sweep for the same discipline.
-    timeline = bool(cfg.get("timeline", False))
-    timeline_tick_s = cfg.get("timeline_tick_s")
-    cfg = {
-        **OVERLOAD_DEFAULTS,
-        **{k: v for k, v in cfg.items() if k in OVERLOAD_DEFAULTS},
-    }
+    sweep = SweepConfig.resolve(cfg, OVERLOAD_DEFAULTS)
+    cfg = sweep.cfg
     inst = generate(cfg["family"], int(cfg["n"]), seed=int(cfg["seed"]))
     params = LCAParameters.capped(float(cfg["epsilon"]), int(cfg["cap"]))
     model = ServiceModel(
@@ -98,10 +92,7 @@ def run_overload_sweep(cfg: dict) -> tuple[list[dict], dict, dict]:
             batch_max=int(cfg["batch_max"]),
             clock=cfg["clock"],
             service_model=model,
-            timeline=timeline,
-            timeline_tick_s=(
-                None if timeline_tick_s is None else float(timeline_tick_s)
-            ),
+            **sweep.harness_kwargs(),
             **overload_kwargs,
         )
 
@@ -139,9 +130,7 @@ def run_overload_sweep(cfg: dict) -> tuple[list[dict], dict, dict]:
                 if rate == overload_rate:
                     at_overload[mode] = row
     rows = base_rows + compare_rows
-    for row in rows:
-        row["n"] = inst.n
-        row["family"] = cfg["family"]
+    context = sweep.finish(rows, inst.n, rates)
 
     floor = float(cfg["availability_floor"])
     row_on = at_overload["overload-on"]
@@ -159,11 +148,6 @@ def run_overload_sweep(cfg: dict) -> tuple[list[dict], dict, dict]:
     from ..obs.context import RunContext
     from ..obs.schema import BenchDocument
 
-    context = {**cfg, "rates": rates, "n": inst.n}
-    if timeline:
-        context["timeline"] = True
-        if timeline_tick_s is not None:
-            context["timeline_tick_s"] = float(timeline_tick_s)
     doc = BenchDocument.build(
         "bench-overload",
         name="overload_governor",

@@ -10,6 +10,8 @@ load cells.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from ..core.parameters import LCAParameters
 from ..faults import FaultPlan, RetryPolicy
 from ..knapsack.generators import generate
@@ -18,7 +20,50 @@ from ..serve import KnapsackService
 from .clock import ServiceModel
 from .harness import LoadHarness, bench_load_document
 
-__all__ = ["LOAD_DEFAULTS", "run_load_sweep"]
+__all__ = ["LOAD_DEFAULTS", "SweepConfig", "run_load_sweep"]
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    """A raw sweep config resolved against its defaults table.
+
+    The timeline knobs ride *outside* the table on purpose: they are
+    read from the raw config before the known-keys filter, and they
+    re-enter the document context only when enabled — so sampler-off
+    documents stay bit-identical to pre-timeline output.  The load and
+    overload sweeps both resolve their config here.
+    """
+
+    cfg: dict
+    timeline: bool
+    timeline_tick_s: float | None
+
+    @classmethod
+    def resolve(cls, raw: dict, defaults: dict) -> "SweepConfig":
+        """Known keys of ``raw`` over ``defaults``; unknown keys dropped."""
+        tick = raw.get("timeline_tick_s")
+        return cls(
+            cfg={**defaults, **{k: v for k, v in raw.items() if k in defaults}},
+            timeline=bool(raw.get("timeline", False)),
+            timeline_tick_s=None if tick is None else float(tick),
+        )
+
+    def harness_kwargs(self) -> dict:
+        """The timeline keywords of :class:`LoadHarness`."""
+        return {"timeline": self.timeline, "timeline_tick_s": self.timeline_tick_s}
+
+    def finish(self, rows: list[dict], n: int, rates: list[float]) -> dict:
+        """Stamp every row with the instance's ``n`` and family, and
+        return the document context this config reruns from."""
+        for row in rows:
+            row["n"] = n
+            row["family"] = self.cfg["family"]
+        context = {**self.cfg, "rates": rates, "n": n}
+        if self.timeline:
+            context["timeline"] = True
+            if self.timeline_tick_s is not None:
+                context["timeline_tick_s"] = self.timeline_tick_s
+        return context
 
 
 def run_load_sweep(cfg: dict) -> tuple[list[dict], dict, dict]:
@@ -28,13 +73,8 @@ def run_load_sweep(cfg: dict) -> tuple[list[dict], dict, dict]:
     :data:`LOAD_DEFAULTS`, which is what keeps pre-``RunContext``
     documents rerunnable.  Returns ``(rows, knee, document)``.
     """
-    # Timeline knobs ride *outside* LOAD_DEFAULTS on purpose: they are
-    # read from the raw config before the known-keys filter, and they
-    # re-enter the document context only when enabled — so sampler-off
-    # documents stay bit-identical to pre-timeline output.
-    timeline = bool(cfg.get("timeline", False))
-    timeline_tick_s = cfg.get("timeline_tick_s")
-    cfg = {**LOAD_DEFAULTS, **{k: v for k, v in cfg.items() if k in LOAD_DEFAULTS}}
+    sweep = SweepConfig.resolve(cfg, LOAD_DEFAULTS)
+    cfg = sweep.cfg
     inst = generate(cfg["family"], int(cfg["n"]), seed=int(cfg["seed"]))
     params = LCAParameters.capped(float(cfg["epsilon"]), int(cfg["cap"]))
     plan = None
@@ -72,10 +112,7 @@ def run_load_sweep(cfg: dict) -> tuple[list[dict], dict, dict]:
             jitter=float(cfg["jitter"]),
         ),
         service_workers=int(cfg["service_workers"]),
-        timeline=timeline,
-        timeline_tick_s=(
-            None if timeline_tick_s is None else float(timeline_tick_s)
-        ),
+        **sweep.harness_kwargs(),
     )
     rates = [float(r) for r in cfg["rates"]]
     try:
@@ -84,15 +121,9 @@ def run_load_sweep(cfg: dict) -> tuple[list[dict], dict, dict]:
         )
     finally:
         service.close()
-    for row in rows:
-        row["n"] = inst.n
-        row["family"] = cfg["family"]
-        if shared:
+    context = sweep.finish(rows, inst.n, rates)
+    if shared:
+        for row in rows:
             row["shared_instance"] = True
-    context = {**cfg, "rates": rates, "n": inst.n}
-    if timeline:
-        context["timeline"] = True
-        if timeline_tick_s is not None:
-            context["timeline_tick_s"] = float(timeline_tick_s)
     doc = bench_load_document(rows, knee=knee, **context)
     return rows, knee, doc

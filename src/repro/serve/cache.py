@@ -107,6 +107,22 @@ class CacheKey:
             large_item_mode=str(large_item_mode),
         )
 
+    def with_nonce(self, nonce: int) -> "CacheKey":
+        """This key's configuration under another nonce.
+
+        Everything but the nonce is fixed per service, so a service
+        derives its key once (hashing the seed and reading the
+        parameters) and keys every lookup by attaching the nonce.
+        """
+        return CacheKey(
+            self.instance_fingerprint,
+            self.seed_digest,
+            int(nonce),
+            self.params_key,
+            self.tie_breaking,
+            self.large_item_mode,
+        )
+
 
 class PipelineCache:
     """Thread-safe LRU of :class:`CacheKey` -> ``PipelineResult``.

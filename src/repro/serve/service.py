@@ -603,7 +603,16 @@ class KnapsackService:
             self._cache = PipelineCache(capacity=cache_capacity)
         else:
             self._cache = cache
-        self._fingerprint = instance_fingerprint(instance)
+        # The nonce-free part of every cache key, derived once: a lookup
+        # only attaches its nonce (see cache_key).
+        self._config_key = CacheKey.derive(
+            fingerprint=instance_fingerprint(instance),
+            seed=self._spec.seed,
+            nonce=0,
+            params=self._lca.params,
+            tie_breaking=self._spec.tie_breaking,
+            large_item_mode=self._spec.large_item_mode,
+        )
         self._fallback: GreedyFallback | None = None
         self._extra_samples = 0  # spent by parallel shards, not self._sampler
         self._extra_queries = 0
@@ -745,14 +754,7 @@ class KnapsackService:
     # ------------------------------------------------------------------
     def cache_key(self, nonce: int) -> CacheKey:
         """The full cache key this service derives for ``nonce``."""
-        return CacheKey.derive(
-            fingerprint=self._fingerprint,
-            seed=self._spec.seed,
-            nonce=nonce,
-            params=self._lca.params,
-            tie_breaking=self._spec.tie_breaking,
-            large_item_mode=self._spec.large_item_mode,
-        )
+        return self._config_key.with_nonce(nonce)
 
     def pipeline_for(
         self, nonce: int | None = None, *, lca: LCAKP | None = None
@@ -809,7 +811,7 @@ class KnapsackService:
         code = reason_code_for(exc)
         detail = str(exc)
         found = (
-            self._cache.find_config(self.cache_key(0), max_age=self._max_staleness)
+            self._cache.find_config(self._config_key, max_age=self._max_staleness)
             if self._cache is not None
             else None
         )
@@ -1015,7 +1017,8 @@ class KnapsackService:
             wall_clock_s=time.perf_counter() - start,
             degraded=degraded,
             probe_retries=self.retries_used - retries_before,
-            stale_served=self._count_stale(answers),
+            # Only the degradation ladder serves stale answers.
+            stale_served=self._count_stale(answers) if degraded else 0,
         )
 
     def _batch_parallel(

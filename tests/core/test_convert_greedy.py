@@ -1,11 +1,15 @@
 """Tests for CONVERT-GREEDY (Algorithm 3)."""
 
 import math
+import pickle
 
+import numpy as np
 import pytest
 
-from repro.core.convert_greedy import convert_greedy
+from repro.access.seeds import SeedChain
+from repro.core.convert_greedy import ConvertGreedyResult, convert_greedy
 from repro.core.simplified_instance import build_simplified_instance
+from repro.core.tie_breaking import TieBreakingRule
 
 EPS = 0.1
 EPS_SQ = EPS * EPS
@@ -110,3 +114,82 @@ class TestDecideRule:
         res = convert_greedy(tilde({4: (0.5, 0.1)}, (), capacity=1.0))
         assert res.decide(0.5, 0.1, 4) is True
         assert res.decide(0.5, 0.1, 5) is False
+
+
+def _rule(index_large, e_small, b_indicator):
+    """A hand-built rule: only the four decision fields matter."""
+    return ConvertGreedyResult(
+        epsilon=EPS,
+        index_large=frozenset(index_large),
+        e_small=e_small,
+        b_indicator=b_indicator,
+        j=0,
+        k=0,
+        cut_efficiency=math.inf,
+        greedy_profit=0.0,
+        greedy_weight=0.0,
+    )
+
+
+#: Large indices and the probes around them: below, equal to, between
+#: and above every large index (the ``searchsorted`` boundaries).
+LARGE = (3, 7, 8, 20)
+PROBES = (0, 2, 3, 4, 6, 7, 8, 9, 19, 20, 21, 500)
+#: (profit, weight) rows covering large, small, garbage and zero-weight items.
+ROWS = (
+    (0.5, 0.1),  # large
+    (0.02, 0.5),  # large, inefficient
+    (0.005, 0.001),  # small, eff 5
+    (0.005, 0.0025),  # small, eff 2
+    (EPS_SQ, EPS_SQ / 4),  # small at the profit boundary, eff 4
+    (0.001, 1.0),  # garbage
+    (0.005, 0.0),  # zero weight: eff inf
+    (0.0, 0.0),  # zero profit and weight: eff 0
+    (0.3, 0.0),  # large, zero weight
+)
+
+RULES = {
+    "greedy-with-threshold": _rule(LARGE, 4.0, False),
+    "greedy-no-threshold": _rule(LARGE, None, False),
+    "greedy-no-large": _rule((), 2.0, False),
+    "singleton": _rule((7,), None, True),
+    "singleton-anomaly": _rule((), None, True),
+}
+
+
+def _tie_rule(base):
+    return TieBreakingRule(
+        base=base, band_lo=1.9, band_hi=5.5, fraction=0.5, seed=SeedChain(4)
+    )
+
+
+class TestDecideMany:
+    """``decide_many`` is :meth:`decide` applied row by row, bit for bit,
+    on one row (the scalar path) and on many (the vectorized one)."""
+
+    @pytest.mark.parametrize("name", sorted(RULES))
+    @pytest.mark.parametrize("tie", [False, True], ids=["base", "tie"])
+    def test_every_size_matches_the_scalar_rule(self, name, tie):
+        rule = _tie_rule(RULES[name]) if tie else RULES[name]
+        rows = [(p, w, i) for p, w in ROWS for i in PROBES]
+        profits, weights, indices = (np.array(col) for col in zip(*rows))
+        expected = [rule.decide(p, w, i) for p, w, i in rows]
+        for k in range(len(rows)):
+            row = slice(k, k + 1)
+            one = rule.decide_many(profits[row], weights[row], indices[row])
+            assert list(one) == [expected[k]]
+            assert type(one[0]) is bool
+        assert rule.decide_many(profits, weights, indices).tolist() == expected
+        for size in (2, 5):
+            got = rule.decide_many(profits[:size], weights[:size], indices[:size])
+            assert got.tolist() == expected[:size]
+
+    def test_sorted_large_memo_is_invisible(self):
+        rule = _rule(LARGE, 4.0, False)
+        fresh = _rule(LARGE, 4.0, False)
+        rule.decide_many([0.5, 0.5], [0.1, 0.1], [3, 4])
+        assert rule.sorted_large().tolist() == sorted(LARGE)
+        assert rule == fresh and repr(rule) == repr(fresh)
+        assert hash(rule) == hash(fresh)
+        assert pickle.dumps(rule) == pickle.dumps(fresh)
+        assert not rule.sorted_large().flags.writeable

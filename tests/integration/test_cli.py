@@ -81,6 +81,20 @@ def test_bad_comma_list_is_a_usage_error(argv, tmp_path, capsys):
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["loadgen", "--rates=-5,10"], "arrival rate must be > 0, got -5.0"),
+        (["loadgen", "--rates", "nan"], "arrival rate must be > 0, got nan"),
+        (["chaos", "--rates", "1.5"], "probe_failure_rate must lie in [0, 1], got 1.5"),
+    ],
+)
+def test_rejected_value_is_a_usage_error(argv, message, tmp_path, capsys):
+    assert main([*argv, "--out", str(tmp_path / "out.json")]) == 2
+    assert capsys.readouterr().err == f"repro: error: {message}\n"
+    assert not (tmp_path / "out.json").exists()
+
+
 class TestExperimentCommand:
     def test_experiment_with_json(self, capsys, tmp_path, monkeypatch):
         # Patch in a tiny experiment so the CLI path stays fast.

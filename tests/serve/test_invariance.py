@@ -18,6 +18,7 @@ from repro.access.weighted_sampler import WeightedSampler
 from repro.core.lca_kp import LCAKP
 from repro.core.parameters import LCAParameters
 from repro.knapsack import generators
+from repro.knapsack.instance import KnapsackInstance
 from repro.reproducible.domains import EfficiencyDomain
 from repro.serve import KnapsackService
 
@@ -139,6 +140,73 @@ class TestTieBreakingInvariance:
         )
         expected = [lca.answer(i, nonce=nonce).include for i in indices]
         assert got == expected
+
+
+def _feathers_and_one_heavy():
+    """299 light items (efficiency 2, total profit 0.3) and one item that
+    weighs the whole capacity: the greedy prefix loses to the heavy item,
+    so CONVERT-GREEDY takes its singleton branch."""
+    profits = np.random.default_rng(17).uniform(0.5, 1.0, N - 1)
+    profits *= 0.3 / profits.sum()
+    return KnapsackInstance(
+        np.append(profits, 0.7), np.append(profits / 2.0, 1.0), 1.0, normalize=True
+    )
+
+
+#: One N=300 instance per branch of the decision rule.
+_BRANCHES = {
+    "large-set": (_INSTANCE, False),
+    "singleton": (_feathers_and_one_heavy(), False),
+    "no-small-threshold": (generators.greedy_adversarial(N, seed=17), False),
+    "tie-band": (generators.subset_sum(N, seed=17), True),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(_BRANCHES))
+def test_one_item_batches_equal_stateless_answers(fast_params, branch):
+    """A warm one-item batch (the scalar rule path) answers every index
+    exactly as a stateless :meth:`LCAKP.answer` run does."""
+    instance, tie_breaking = _BRANCHES[branch]
+    nonce = 5
+    svc = KnapsackService(
+        instance, fast_params.epsilon, seed=1, params=fast_params,
+        tie_breaking=tie_breaking,
+    )
+    lca = LCAKP(
+        WeightedSampler(instance),
+        QueryOracle(instance),
+        fast_params.epsilon,
+        1,
+        params=fast_params,
+        tie_breaking=tie_breaking,
+    )
+    pipeline, _ = svc.pipeline_for(nonce)
+    rule = pipeline.converted
+    if branch == "large-set":
+        assert rule.index_large and rule.e_small is not None
+    elif branch == "singleton":
+        assert rule.b_indicator and rule.index_large
+    elif branch == "no-small-threshold":
+        assert not rule.b_indicator and rule.e_small is None
+    else:
+        band = (
+            (instance.efficiencies() >= pipeline.tie_rule.band_lo)
+            & (instance.efficiencies() < pipeline.tie_rule.band_hi)
+        )
+        assert 0 < pipeline.tie_rule.fraction < 1 and band.any()
+    verdicts = set()
+    for i in range(N):
+        report = svc.answer_batch([i], nonce=nonce)
+        assert report.cache_hits == 1
+        got = report.answers[0]
+        expected = lca.answer(i, nonce=nonce)
+        assert (got.index, got.include, got.reason, got.item, got.run) == (
+            expected.index, expected.include, expected.reason, expected.item,
+            expected.run,
+        )
+        assert type(got.include) is bool
+        verdicts.add(got.include)
+    assert verdicts == {True, False}
 
 
 @pytest.fixture(scope="module")

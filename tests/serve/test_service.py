@@ -293,6 +293,13 @@ class TestOneSummaryPerPipeline:
         clone = pickle.loads(pickle.dumps(pipeline))
         assert clone == pipeline and clone.summary() == pipeline.summary()
 
+        # So is the rule's sorted large-index memo, which the batches
+        # above filled: a pipeline that has served answers ships to a
+        # process shard as the same bytes as a fresh one.
+        assert "_sorted_large" in pipeline.converted.__dict__
+        assert pipeline.rule is pipeline.converted
+        _assert_same_rule(pipeline.rule, dataclasses.replace(pipeline.converted))
+
         # A replaced pipeline gets its own summary, not the stale one.
         tie_service = KnapsackService(
             tiers_instance, fast_params.epsilon, seed=3, params=fast_params,
@@ -300,7 +307,49 @@ class TestOneSummaryPerPipeline:
         )
         tied, _ = tie_service.pipeline_for(9)
         assert tied.tie_rule is not None and tied.summary().tie_breaking
+        for _ in range(3):
+            tie_service.answer_batch(indices, nonce=9)
+            tie_service.answer_batch(indices[:1], nonce=9)
+        assert "_sorted_large" in tied.converted.__dict__
+        _assert_same_rule(
+            tied.rule,
+            dataclasses.replace(
+                tied.tie_rule, base=dataclasses.replace(tied.converted)
+            ),
+        )
         untied = dataclasses.replace(tied, tie_rule=None)
         assert untied.summary() == dataclasses.replace(untied).summary()
         assert not untied.summary().tie_breaking
         assert tied.summary().signature_hash != untied.summary().signature_hash
+
+
+def _assert_same_rule(rule, untouched) -> None:
+    """``rule`` compares, prints and pickles like ``untouched``."""
+    assert rule == untouched and repr(rule) == repr(untouched)
+    assert pickle.dumps(rule) == pickle.dumps(untouched)
+    assert pickle.loads(pickle.dumps(rule)) == untouched
+
+
+class TestWarmPathCounts:
+    def test_warm_batches_derive_no_seed_digest(
+        self, tiers_instance, fast_params, monkeypatch
+    ):
+        """The cache key's seed digest is derived once per service, not
+        once per lookup."""
+        svc = KnapsackService(
+            tiers_instance, fast_params.epsilon, seed=3, params=fast_params
+        )
+        svc.answer_batch([0], nonce=9)
+        digests = []
+        original = SeedChain.digest
+
+        def counting(chain):
+            digests.append(chain.path)
+            return original(chain)
+
+        monkeypatch.setattr(SeedChain, "digest", counting)
+        for k in range(1000):
+            report = svc.answer_batch([k % tiers_instance.n], nonce=9)
+            assert report.cache_hits == 1 and report.stale_served == 0
+        assert digests == []
+        assert svc.cache.hits == 1000 and svc.cache.misses == 1
