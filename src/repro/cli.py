@@ -1209,13 +1209,21 @@ def _cmd_overload(args: argparse.Namespace) -> int:
     return 0
 
 
+def _endpoint_service(args: argparse.Namespace):
+    """The capped, 8-entry-cache service an NDJSON endpoint serves."""
+    from .serve import KnapsackService
+
+    return KnapsackService(
+        generate(args.family, args.n, seed=args.seed), args.epsilon,
+        seed=args.lca_seed, params=LCAParameters.capped(args.epsilon, args.cap),
+        cache_capacity=8,
+    )
+
+
 def _loadgen_listen(args: argparse.Namespace) -> int:
     import asyncio
 
     from .load.endpoint import serve_endpoint
-    from .serve import KnapsackService
-
-    inst = generate(args.family, args.n, seed=args.seed)
 
     async def run(service) -> None:
         server = await serve_endpoint(
@@ -1238,10 +1246,7 @@ def _loadgen_listen(args: argparse.Namespace) -> int:
         async with server:
             await server.serve_forever()
 
-    with KnapsackService(
-        inst, args.epsilon, seed=args.lca_seed,
-        params=LCAParameters.capped(args.epsilon, args.cap), cache_capacity=8,
-    ) as service:
+    with _endpoint_service(args) as service:
         try:
             asyncio.run(run(service))
         except KeyboardInterrupt:
@@ -1377,13 +1382,8 @@ def _cmd_top(args: argparse.Namespace) -> int:
         import asyncio
 
         from .load.endpoint import serve_endpoint
-        from .serve import KnapsackService
 
-        inst = generate(args.family, args.n, seed=args.seed)
-        service = KnapsackService(
-            inst, args.epsilon, seed=args.lca_seed,
-            params=LCAParameters.capped(args.epsilon, args.cap), cache_capacity=8,
-        )
+        service = _endpoint_service(args)
         bound: dict = {}
         ready = threading.Event()
 

@@ -10,9 +10,8 @@ so every shard attaches zero-copy read-only views of the *same*
 physical pages:
 
 * :class:`SharedInstanceStore` — the owner side.  ``create()`` lays the
-  profit/weight columns (plus derived columns: efficiencies and the
-  sampler's prebuilt alias table) into one segment behind a JSON
-  header; the store is the only party that ever ``unlink()``s it.
+  profit/weight columns (plus the sampler's prebuilt alias table) into
+  one segment behind a JSON header; the store is the only party that ever ``unlink()``s it.
 * :class:`SharedInstanceHandle` — the picklable token shipped to
   workers: segment name, dtype/shape metadata, capacity and a content
   digest.  A handle is a few hundred bytes regardless of n.
@@ -81,7 +80,6 @@ _ALIGN = 64
 _COLUMNS: tuple[tuple[str, str], ...] = (
     ("profits", "<f8"),
     ("weights", "<f8"),
-    ("efficiencies", "<f8"),
     ("alias_prob", "<f8"),
     ("alias_idx", "<i8"),
 )
@@ -274,13 +272,13 @@ class SharedInstanceStore:
         spill_dir: str | None = None,
         table=None,
     ) -> "SharedInstanceStore":
-        """Lay ``instance`` (plus derived columns) into a fresh segment.
+        """Lay ``instance`` (plus its alias table) into a fresh segment.
 
         ``backend="auto"`` prefers POSIX shared memory and spills to a
         memmapped file in ``spill_dir`` (default: the system tempdir) if
         segment creation fails; ``"shm"``/``"mmap"`` force one side.
-        Derived columns — efficiencies and the sampler's alias table —
-        are built once here so every attacher skips their O(n) cost.
+        The sampler's alias table is laid in once here so every attacher
+        skips its O(n) build.
         ``table`` is an optional prebuilt
         :class:`~repro.access.weighted_sampler.AliasTable` over
         ``instance.profits`` (e.g. the one a service already samples
@@ -325,7 +323,6 @@ class SharedInstanceStore:
         store._map_views(writable=True)
         store._views["profits"][:] = instance.profits
         store._views["weights"][:] = instance.weights
-        store._views["efficiencies"][:] = instance.efficiencies()
         store._views["alias_prob"][:] = table.prob
         store._views["alias_idx"][:] = table.alias
         header = json.dumps(
@@ -466,10 +463,6 @@ class SharedInstanceStore:
             self.column("alias_prob"), self.column("alias_idx")
         )
         return WeightedSampler(self.instance, budget=budget, table=table)
-
-    def efficiencies(self) -> np.ndarray:
-        """The precomputed shared efficiency column."""
-        return self.column("efficiencies")
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -123,6 +123,19 @@ class CacheKey:
             self.large_item_mode,
         )
 
+    def __hash__(self) -> int:
+        # Memoized: a warm hit looks its key up twice (``get``, then
+        # ``move_to_end``) but hashes the six fields once.
+        if "_hash" not in self.__dict__:
+            run = (self.instance_fingerprint, self.seed_digest, self.nonce)
+            config = (self.params_key, self.tie_breaking, self.large_item_mode)
+            object.__setattr__(self, "_hash", hash(run + config))
+        return self.__dict__["_hash"]
+
+    def __getstate__(self) -> dict:
+        # String hashes are salted per process: never pickle the memo.
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
 
 class PipelineCache:
     """Thread-safe LRU of :class:`CacheKey` -> ``PipelineResult``.
@@ -137,14 +150,15 @@ class PipelineCache:
         if capacity < 1:
             raise ReproError(f"cache capacity must be >= 1, got {capacity}")
         self._capacity = capacity
-        self._entries: OrderedDict[CacheKey, PipelineResult] = OrderedDict()
+        # key -> [result, stamp].  Staleness clock: advance_batch() ticks
+        # once per served batch; each entry is stamped with the tick it
+        # was last computed or served warm, so "age" = batches since this
+        # pipeline was known good.  The degradation ladder's cache rung
+        # bounds that age.  Both stamping operations also move the entry
+        # to the MRU end, so LRU order is stamp order.
+        self._entries: OrderedDict[CacheKey, list] = OrderedDict()
         self._lock = threading.Lock()
-        # Staleness clock: advance_batch() ticks once per served batch;
-        # each entry is stamped with the tick it was last computed or
-        # served warm, so "age" = batches since this pipeline was known
-        # good.  The degradation ladder's cache rung bounds that age.
         self._tick = 0
-        self._stamps: dict[CacheKey, int] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -181,13 +195,13 @@ class PipelineCache:
     def get(self, key: CacheKey) -> PipelineResult | None:
         """Look up a pipeline; counts a hit or a miss either way."""
         with self._lock:
-            result = self._entries.get(key)
-            if result is not None:
+            entry = self._entries.get(key)
+            if entry is not None:
                 self._entries.move_to_end(key)
-                self._stamps[key] = self._tick
+                entry[1] = self._tick
                 self.hits += 1
                 self._m_hits.inc()
-                return result
+                return entry[0]
             self.misses += 1
             self._m_misses.inc()
             return None
@@ -209,8 +223,9 @@ class PipelineCache:
         so it counts neither a hit nor a miss.
         """
         with self._lock:
-            best: tuple[PipelineResult, int] | None = None
-            for key in reversed(self._entries):
+            # LRU order is stamp order, so the first match from the MRU
+            # end is the freshest; if it is too old, every other is too.
+            for key, (result, stamp) in reversed(self._entries.items()):
                 if (
                     key.instance_fingerprint == template.instance_fingerprint
                     and key.seed_digest == template.seed_digest
@@ -218,35 +233,29 @@ class PipelineCache:
                     and key.tie_breaking == template.tie_breaking
                     and key.large_item_mode == template.large_item_mode
                 ):
-                    age = self._tick - self._stamps.get(key, self._tick)
+                    age = self._tick - stamp
                     if max_age is not None and age > max_age:
-                        continue
-                    if best is None or age < best[1]:
-                        best = (self._entries[key], age)
-            return best
+                        return None
+                    return result, age
+            return None
 
     def put(self, key: CacheKey, result: PipelineResult) -> None:
         """Insert (or refresh) an entry, evicting the LRU tail if full."""
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
-                self._entries[key] = result
-            else:
-                self._entries[key] = result
-                while len(self._entries) > self._capacity:
-                    evicted, _ = self._entries.popitem(last=False)
-                    self._stamps.pop(evicted, None)
-                    self.evictions += 1
-                    self._m_evictions.inc()
-                    _obs.record_event("cache.evicted", nonce=evicted.nonce)
-            self._stamps[key] = self._tick
+            self._entries[key] = [result, self._tick]
+            while len(self._entries) > self._capacity:
+                evicted, _ = self._entries.popitem(last=False)
+                self.evictions += 1
+                self._m_evictions.inc()
+                _obs.record_event("cache.evicted", nonce=evicted.nonce)
             self._m_size.set(len(self._entries))
 
     def clear(self) -> None:
         """Drop every entry (counters are preserved)."""
         with self._lock:
             self._entries.clear()
-            self._stamps.clear()
             self._m_size.set(0)
 
     def stats(self) -> dict:

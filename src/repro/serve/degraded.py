@@ -28,11 +28,13 @@ import numpy as np
 
 from ..errors import FaultInjectionError, QueryBudgetExceededError
 from ..knapsack.instance import KnapsackInstance
+from ..obs import runtime as _obs
 
 __all__ = [
     "DEGRADED_REASON_CODES",
     "DegradedAnswer",
     "GreedyFallback",
+    "degraded_answers",
     "reason_code_for",
 ]
 
@@ -114,6 +116,34 @@ class DegradedAnswer:
         )
 
 
+def degraded_answers(
+    idx, exc: BaseException, verdicts, source: str, staleness: int | None = None
+) -> list[DegradedAnswer]:
+    """Label ladder ``verdicts`` for ``idx`` as degraded by ``exc``.
+
+    The one builder of ladder answers, wherever the shard ran: records
+    the ``serve.degraded`` flight event (with ``staleness`` when the
+    cache rung answered) and returns one :class:`DegradedAnswer` per
+    index.
+    """
+    code = reason_code_for(exc)
+    detail = str(exc)
+    _obs.record_event(
+        "serve.degraded",
+        queries=len(idx),
+        reason=code,
+        source=source,
+        **({} if staleness is None else {"staleness": staleness}),
+    )
+    return [
+        DegradedAnswer(
+            index=int(i), include=inc, reason_code=code,
+            source=source, detail=detail, staleness=staleness,
+        )
+        for i, inc in zip(idx, verdicts)
+    ]
+
+
 class GreedyFallback:
     """Once-computed cheap decision rule for degraded answers.
 
@@ -148,3 +178,7 @@ class GreedyFallback:
         if self._mask is None:
             return [False] * len(list(indices))
         return [bool(b) for b in self._mask[np.asarray(list(indices), dtype=np.int64)]]
+
+    def degrade(self, idx, exc: BaseException) -> list[DegradedAnswer]:
+        """The greedy (or trivial) rung's labeled answers for ``idx``."""
+        return degraded_answers(idx, exc, self.decide_many(idx), self.source)

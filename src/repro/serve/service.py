@@ -81,7 +81,7 @@ from ..knapsack.shm import (
 from ..obs import runtime as _obs
 from ..obs.trace import span_from_payload, span_to_payload
 from .cache import CacheKey, PipelineCache, instance_fingerprint
-from .degraded import DegradedAnswer, GreedyFallback, reason_code_for
+from .degraded import DegradedAnswer, GreedyFallback, degraded_answers
 
 __all__ = ["BatchReport", "KnapsackService", "derive_worker_nonce"]
 
@@ -173,12 +173,15 @@ _NO_BILL = (0, 0, 0, 0, 0, 0.0)
 
 class _ShardOutcome(NamedTuple):
     """One shard's answers and :func:`_bill`, whichever executor served
-    it (picklable: process workers ship theirs home)."""
+    it (picklable: process workers ship theirs home).  ``pipeline`` is
+    the run the parent may cache: set only when the shard ran it and
+    answered without degrading."""
 
     answers: list
     bill: tuple
     degraded: int = 0
     hit: bool = False
+    pipeline: PipelineResult | None = None
 
 
 def _layer(access, kind):
@@ -188,18 +191,51 @@ def _layer(access, kind):
     return access
 
 
-def _serve_chunk(payload) -> tuple:
-    """Process-pool entry: answer one shard in a long-lived pool worker.
+def _answer_shard(
+    instance, sampler, spec: _StackSpec, shard, nonce: int, strict: bool, *,
+    attempt: int = 0, audit=None, pipeline=None, degrade=None,
+) -> tuple:
+    """Answer one shard on either side of the process boundary; returns
+    ``(outcome, span)``.
 
-    The parent dispatches only shards its pipeline cache missed.  The
-    worker rebuilds the access objects from the payload (it keeps no
-    serving state between chunks: no pipeline or sampler outlives the
-    chunk that built it), applies the shard's fault/retry wiring, runs
-    the pipeline and returns ``(outcome, pipeline, obs)``: ``outcome``
-    is the shard's :class:`_ShardOutcome` (slim answers plus full
-    :func:`_bill`); ``pipeline`` is the run the parent memoizes under the
-    shard's nonce — shipped only when the payload asks for it (the
-    service has a cache) and the shard was not degraded, else ``None``;
+    Wraps the raw ``sampler`` in the shard's own access stack (its own
+    bill, fault coins keyed ``("shard", nonce, attempt)``), answers from
+    ``pipeline`` — a cache hit the parent looked up — or from a run of
+    its own, and bills the stack.  A degradable failure raises under
+    ``strict``; otherwise ``degrade(shard, exc)`` answers the shard (the
+    parent's ladder), or the greedy rung where there is no ``degrade``
+    (a pool worker holds no cache).  ``span`` is the shard's
+    ``serve.shard`` span (``None`` when untraced).
+    """
+    sampler, oracle, lca = _access_stack(
+        instance, sampler, spec, ("shard", nonce, attempt), audit=audit
+    )
+    hit = pipeline is not None
+    degraded = 0
+    with _obs.span("serve.shard") as span:
+        try:
+            if not hit:
+                pipeline = lca.run_pipeline(nonce=nonce)
+            answers = lca.answers_from(pipeline, shard)
+        except _DEGRADABLE as exc:
+            if strict:
+                raise
+            # A pool worker holds no cache: its ladder starts at greedy.
+            answers = (degrade or GreedyFallback(instance).degrade)(shard, exc)
+            degraded = len(shard)
+    fresh = None if hit or degraded else pipeline
+    return _ShardOutcome(answers, _bill(sampler, oracle), degraded, hit, fresh), span
+
+
+def _serve_chunk(payload) -> tuple:
+    """Process-pool entry: answer one shard the parent's cache missed in
+    a long-lived pool worker; returns ``(outcome, obs)``.
+
+    The worker keeps no serving state between chunks (no pipeline or
+    sampler outlives the chunk that built it): it rebuilds the access
+    objects from the payload and answers through :func:`_answer_shard`,
+    exactly as a parent-side shard does.  ``outcome.pipeline`` travels
+    home only when the payload asks for it (the service has a cache).
     ``obs`` is the chunk's full observability state — its registry
     (mergeable histogram buckets, not quantile summaries), its finished
     ``serve.shard`` span tree (when the parent propagated a trace
@@ -222,19 +258,16 @@ def _serve_chunk(payload) -> tuple:
     is how the requeue path is exercised end to end.
 
     The payload is ``(instance, spec, nonce, indices, attempt, strict,
-    trace_ctx, timeline, ship_pipeline)``; ``spec`` is the service's
-    :class:`_StackSpec`, so the child's stack is built by the same
-    :func:`_access_stack` as the parent's.  Slot 0 is either the pickled
-    instance (legacy path: O(n) per shard) or a
-    :class:`SharedInstanceHandle` (shared-memory path: the worker
-    attaches zero-copy views once, through the per-process attach cache,
-    and re-wraps the segment's prebuilt alias table — O(1) per shard in
-    n).  The attach — including its digest
-    verification, which happens *before* any access object exists, so no
-    query is ever billed against a wrong segment — runs before
+    trace_ctx, timeline, ship_pipeline)``.  Slot 0 is either the pickled
+    instance (O(n) per shard) or a :class:`SharedInstanceHandle` (the
+    worker attaches zero-copy views once, through the per-process attach
+    cache, and re-wraps the segment's prebuilt alias table — O(1) per
+    shard in n).  The attach — including its digest verification, which
+    happens *before* any access object exists, so no query is ever
+    billed against a wrong segment — runs before
     ``reset_worker_runtime`` so the worker's shipped-home registry is
     identical between the two paths; the parent-facing setup/memory
-    measurements travel in dedicated ``obs_state`` keys instead.
+    measurements travel in dedicated ``obs`` keys instead.
     """
     (
         instance, spec, nonce, indices, attempt, strict, trace_ctx, timeline,
@@ -264,35 +297,10 @@ def _serve_chunk(payload) -> tuple:
     else:
         sampler = WeightedSampler(instance)
     setup_s = time.perf_counter() - setup_start
-    sampler, oracle, lca = _access_stack(
-        instance, sampler, spec, ("shard", nonce, attempt), audit=audit
+    outcome, _ = _answer_shard(
+        instance, sampler, spec, indices, nonce, strict,
+        attempt=attempt, audit=audit,
     )
-    degraded = 0
-    pipeline = None
-    with _obs.span("serve.shard"):
-        try:
-            pipeline = lca.run_pipeline(nonce=nonce)
-            answers = lca.answers_from(pipeline, indices)
-        except _DEGRADABLE as exc:
-            if strict:
-                raise
-            # The child has no pipeline cache; its ladder starts at greedy.
-            fallback = GreedyFallback(instance)
-            code = reason_code_for(exc)
-            _obs.record_event(
-                "serve.degraded",
-                queries=len(indices),
-                reason=code,
-                source=fallback.source,
-            )
-            answers = [
-                DegradedAnswer(
-                    index=int(i), include=inc, reason_code=code,
-                    source=fallback.source, detail=str(exc),
-                )
-                for i, inc in zip(indices, fallback.decide_many(indices))
-            ]
-            degraded = len(answers)
     root = _obs.TRACER.last_root() if trace_ctx is not None else None
     obs_state = {
         "registry": _obs.REGISTRY.state(),
@@ -308,52 +316,7 @@ def _serve_chunk(payload) -> tuple:
         "memory": process_memory(),
         "shared": shared_store is not None,
     }
-    return (
-        _ShardOutcome(answers, _bill(sampler, oracle), degraded),
-        pipeline if ship_pipeline and not degraded else None,
-        obs_state,
-    )
-
-
-@dataclass(frozen=True)
-class _ShardTotals:
-    """Folded outcome of one parallel batch's shards."""
-
-    answers: list
-    samples: int = 0
-    queries: int = 0
-    blocks: int = 0
-    hits: int = 0
-    misses: int = 0
-    runs: int = 0
-    degraded: int = 0
-    probe_retries: int = 0
-    probe_hedges: int = 0
-    hedge_latency_saved_s: float = 0.0
-    shard_retries: int = 0
-
-    @classmethod
-    def fold(cls, outcomes: list, shard_retries: int = 0) -> "_ShardTotals":
-        """Sum per-shard outcomes, in shard order.  A shard counts as a
-        pipeline run when it missed the cache and was not degraded."""
-        samples, queries, blocks, retries, hedges, saved_s = (
-            sum(column) for column in zip(*(o.bill for o in outcomes))
-        )
-        hits = sum(1 for o in outcomes if o.hit)
-        return cls(
-            answers=[o.answers for o in outcomes],
-            samples=samples,
-            queries=queries,
-            blocks=blocks,
-            hits=hits,
-            misses=len(outcomes) - hits,
-            runs=sum(1 for o in outcomes if not o.hit and not o.degraded),
-            degraded=sum(o.degraded for o in outcomes),
-            probe_retries=retries,
-            probe_hedges=hedges,
-            hedge_latency_saved_s=saved_s,
-            shard_retries=shard_retries,
-        )
+    return outcome if ship_pipeline else outcome._replace(pipeline=None), obs_state
 
 
 @dataclass(frozen=True)
@@ -434,12 +397,14 @@ class KnapsackService:
         Size of the private cache when ``cache`` is ``None``.
     executor:
         ``"thread"`` (default) or ``"process"`` — how parallel batches
-        run.  Both executors memoize shard pipelines in the service's
-        cache and bill a warm batch the same.  Thread shards look the
-        cache up on their pool thread.  A process batch looks every shard
-        up in the parent first: hits are answered in the parent, and only
-        misses go to a worker, which ships its pipeline home for the
-        cache along with its answers.  Either way the shards run on one
+        run.  Either way every shard is answered by one function, and
+        the parent looks every shard's nonce up in the cache before any
+        shard is answered, then caches each pipeline whose shard
+        answered without degrading: the executors answer, bill and cache
+        a batch alike.  Thread shards, hits included, run on the thread
+        pool.  A process batch answers its hits in the parent and sends
+        only misses to a worker, which ships its pipeline home along
+        with its answers.  Either way the shards run on one
         long-lived pool per service, built on the first sharded batch
         that needs it and shut down by :meth:`close`; a service that has
         dispatched shards holds live workers until it is closed (or used
@@ -756,16 +721,11 @@ class KnapsackService:
         """The full cache key this service derives for ``nonce``."""
         return self._config_key.with_nonce(nonce)
 
-    def pipeline_for(
-        self, nonce: int | None = None, *, lca: LCAKP | None = None
-    ) -> tuple[PipelineResult, bool]:
+    def pipeline_for(self, nonce: int | None = None) -> tuple[PipelineResult, bool]:
         """Return ``(pipeline, was_cached)`` for ``nonce``.
 
         ``nonce=None`` draws OS entropy (a guaranteed miss, cached for
-        any later caller that learns the nonce from the result).  The
-        optional ``lca`` runs a miss on another stack: each thread shard
-        passes its own, built over the service's shared alias table, so
-        the shard's probe bill and fault coins stay separate.
+        any later caller that learns the nonce from the result).
         """
         resolved = int(nonce) if nonce is not None else fresh_nonce()
         key = self.cache_key(resolved)
@@ -773,7 +733,7 @@ class KnapsackService:
             cached = self._cache.get(key)
             if cached is not None:
                 return cached, True
-        pipeline = (lca or self._lca).run_pipeline(nonce=resolved)
+        pipeline = self._lca.run_pipeline(nonce=resolved)
         if self._cache is not None:
             self._cache.put(key, pipeline)
         return pipeline, False
@@ -808,41 +768,23 @@ class KnapsackService:
         its staleness age).  Rung 2 — the once-computed greedy fallback
         mask.  Rung 3 (implicit instances) — the trivial empty solution.
         """
-        code = reason_code_for(exc)
-        detail = str(exc)
         found = (
             self._cache.find_config(self._config_key, max_age=self._max_staleness)
             if self._cache is not None
             else None
         )
-        staleness: int | None = None
-        if found is not None:
-            pipeline, staleness = found
-            profits, weights = self._raw_attributes(idx)
-            include = pipeline.rule.decide_many(
-                profits, weights, np.asarray(idx, dtype=np.int64)
-            )
-            source = "cache"
-            verdicts = [bool(b) for b in include]
-        else:
+        if found is None:
             if self._fallback is None:
                 self._fallback = GreedyFallback(self._instance)
-            verdicts = self._fallback.decide_many(idx)
-            source = self._fallback.source
-        _obs.record_event(
-            "serve.degraded",
-            queries=len(idx),
-            reason=code,
-            source=source,
-            **({} if staleness is None else {"staleness": staleness}),
+            return self._fallback.degrade(idx, exc)
+        pipeline, staleness = found
+        profits, weights = self._raw_attributes(idx)
+        include = pipeline.rule.decide_many(
+            profits, weights, np.asarray(idx, dtype=np.int64)
         )
-        return [
-            DegradedAnswer(
-                index=int(i), include=inc, reason_code=code,
-                source=source, detail=detail, staleness=staleness,
-            )
-            for i, inc in zip(idx, verdicts)
-        ]
+        return degraded_answers(
+            idx, exc, [bool(b) for b in include], "cache", staleness
+        )
 
     # ------------------------------------------------------------------
     # Serving
@@ -1027,89 +969,78 @@ class KnapsackService:
         base = int(nonce) if nonce is not None else fresh_nonce()
         shards = [idx[k::w] for k in range(w)]
         nonces = [derive_worker_nonce(self._spec.seed, base, k) for k in range(w)]
-        if self._executor_kind == "process":
-            agg = self._run_process(shards, nonces, w, strict)
-        else:
-            agg = self._run_threads(shards, nonces, w, strict)
-        self._extra_samples += agg.samples
-        self._extra_queries += agg.queries
-        self._extra_blocks += agg.blocks
-        self._extra_retries += agg.probe_retries
-        self._extra_hedges += agg.probe_hedges
-        self._extra_hedge_saved_s += agg.hedge_latency_saved_s
-        if agg.degraded:
-            self._note_degraded(agg.degraded)
-        # Re-interleave shard answers back into request order.
+        # The parent owns the cache: every shard is looked up before any
+        # is answered, and only runs answered without degrading are put.
+        keys = [self.cache_key(n) for n in nonces] if self._cache is not None else []
+        cached = [self._cache.get(key) for key in keys] or [None] * w
+        run = self._run_process if self._executor_kind == "process" else self._run_threads
+        outcomes, shard_retries = run(shards, nonces, cached, w, strict)
         ordered: list = [None] * len(idx)
-        for k, shard_answers in enumerate(agg.answers):
-            for j, ans in enumerate(shard_answers):
-                ordered[k + j * w] = ans
+        for k, outcome in enumerate(outcomes):
+            ordered[k::w] = outcome.answers  # back into request order
+            if keys and outcome.pipeline is not None:
+                self._cache.put(keys[k], outcome.pipeline)
+        samples, queries, blocks, retries, hedges, saved_s = (
+            sum(column) for column in zip(*(o.bill for o in outcomes))
+        )
+        hits = sum(o.hit for o in outcomes)
+        degraded = sum(o.degraded for o in outcomes)
+        self._extra_samples += samples
+        self._extra_queries += queries
+        self._extra_blocks += blocks
+        self._extra_retries += retries
+        self._extra_hedges += hedges
+        self._extra_hedge_saved_s += saved_s
+        if degraded:
+            self._note_degraded(degraded)
         return BatchReport(
             answers=tuple(ordered),
             mode=self._executor_kind,
             workers=w,
-            cache_hits=agg.hits,
-            cache_misses=agg.misses,
-            pipelines_run=agg.runs,
-            samples_spent=agg.samples,
-            queries_spent=agg.queries,
+            cache_hits=hits,
+            cache_misses=w - hits,
+            # A shard ran a pipeline when it missed and did not degrade.
+            pipelines_run=sum(1 for o in outcomes if not o.hit and not o.degraded),
+            samples_spent=samples,
+            queries_spent=queries,
             wall_clock_s=time.perf_counter() - start,
-            degraded=agg.degraded,
-            probe_retries=agg.probe_retries,
-            shard_retries=agg.shard_retries,
-            stale_served=self._count_stale(ordered),
+            degraded=degraded,
+            probe_retries=retries,
+            shard_retries=shard_retries,
+            stale_served=self._count_stale(ordered) if degraded else 0,
         )
 
-    def _serve_shard(
-        self, shard, shard_nonce: int, strict: bool, pipeline=None
-    ) -> tuple:
-        """Answer one shard in this process; returns ``(outcome, span)``.
-
-        The shard gets a fresh access stack over the service's alias
-        table — its own bill, and fault coins keyed like a first attempt
-        (``("shard", nonce, 0)``) — and the parent's degradation ladder.
-        ``pipeline`` is a cache hit the caller already looked up; without
-        one the shard acquires its pipeline through :meth:`pipeline_for`
-        (a lookup, and on a miss a run on the shard's stack).  ``span``
-        is the shard's ``serve.shard`` span (``None`` when untraced).
-        """
-        sampler, oracle, lca = _access_stack(
+    def _serve_shard(self, shard, shard_nonce: int, strict: bool, pipeline) -> tuple:
+        """Answer one shard in this process through :func:`_answer_shard`:
+        a fresh stack over the service's alias table, fault coins keyed
+        like a first attempt, and the parent's degradation ladder."""
+        return _answer_shard(
             self._instance, WeightedSampler(self._instance, table=self._table),
-            self._spec, ("shard", shard_nonce, 0), audit=self._audit,
+            self._spec, shard, shard_nonce, strict,
+            audit=self._audit, pipeline=pipeline, degrade=self._degrade,
         )
-        hit = pipeline is not None
-        degraded = 0
-        with _obs.span("serve.shard") as span:
-            try:
-                if pipeline is None:
-                    pipeline, hit = self.pipeline_for(shard_nonce, lca=lca)
-                answers = lca.answers_from(pipeline, shard)
-            except _DEGRADABLE as exc:
-                if strict:
-                    raise
-                answers = self._degrade(shard, exc)
-                degraded = len(shard)
-        return _ShardOutcome(answers, _bill(sampler, oracle), degraded, hit), span
 
-    def _run_threads(self, shards, nonces, w, strict) -> _ShardTotals:
+    def _run_threads(self, shards, nonces, cached, w, strict) -> tuple:
+        """Answer every shard, hit or miss, on the thread pool; returns
+        ``(outcomes, 0)`` (thread shards are never requeued)."""
         # The batch span's identity, captured once on the calling thread;
         # each shard adopts a slot-keyed child id so its pool-thread-local
         # subtree slots deterministically into the parent tree.
         parent_trace, parent_span = _obs.TRACER.current_ids()
 
-        def serve_shard(shard, shard_nonce, slot):
+        def serve_shard(shard, shard_nonce, pipeline, slot):
             if parent_trace is not None:
                 _obs.TRACER.adopt(parent_trace, f"{parent_span}.s{slot}")
-            return self._serve_shard(shard, shard_nonce, strict)
+            return self._serve_shard(shard, shard_nonce, strict, pipeline)
 
         pool = self._pool("thread", w)
-        results = list(pool.map(serve_shard, shards, nonces, range(w)))
+        results = list(pool.map(serve_shard, shards, nonces, cached, range(w)))
         parent = _obs.TRACER.current()
         if parent is not None:
             for _, span in results:  # slot order => deterministic child order
                 if span is not None:
                     _obs.TRACER.graft(parent, span)
-        return _ShardTotals.fold([outcome for outcome, _ in results])
+        return [outcome for outcome, _ in results], 0
 
     # ------------------------------------------------------------------
     # Worker pools
@@ -1205,18 +1136,17 @@ class KnapsackService:
         if timeline and _obs.TIMELINE is not None:
             _obs.TIMELINE.merge_state(timeline)
 
-    def _run_process(self, shards, nonces, w, strict) -> _ShardTotals:
+    def _run_process(self, shards, nonces, cached, w, strict) -> tuple:
         """Answer cache hits here; submit the misses to the service's
-        process pool with requeue-on-death.
+        process pool with requeue-on-death.  Returns ``(outcomes,
+        shard_retries)``.
 
-        Every shard's derived nonce is looked up in the service's cache
-        before anything is dispatched.  A hit is answered in the parent
-        by :meth:`_serve_shard`, exactly as a thread shard answers one:
-        no IPC, no wait, no pipeline run.  Only misses reach a worker,
-        and the attempt that answers a miss ships its pipeline home to
-        be cached under the shard's nonce.  Requeued, killed or degraded
-        attempts never populate the cache, just as a failed attempt's
-        bill never reaches the budget.
+        A hit (``cached[k]``, looked up by the caller) is answered in the
+        parent by :meth:`_serve_shard`: no IPC, no wait, no pipeline run.
+        Only misses reach a worker, and the attempt that answers a miss
+        ships its pipeline home in its outcome.  Requeued and killed
+        attempts never reach the caller, just as a failed attempt's bill
+        never reaches the budget.
 
         Each round submits one attempt per pending shard to the
         long-lived pool (:meth:`_pool`), then waits once for the whole
@@ -1239,19 +1169,13 @@ class KnapsackService:
         """
         n_shards = len(shards)
         outcomes: list = [None] * n_shards
-        keys = (
-            [self.cache_key(nonce) for nonce in nonces]
-            if self._cache is not None
-            else None
-        )
         misses: list[int] = []
-        for k in range(n_shards):
-            cached = self._cache.get(keys[k]) if keys is not None else None
-            if cached is None:
+        for k, pipeline in enumerate(cached):
+            if pipeline is None:
                 misses.append(k)
             else:
                 outcomes[k], _ = self._serve_shard(
-                    shards[k], nonces[k], strict, cached
+                    shards[k], nonces[k], strict, pipeline
                 )
         results: dict[int, tuple | None] = {}
         submissions = [0] * n_shards
@@ -1336,9 +1260,7 @@ class KnapsackService:
                 answers = self._degrade(shards[k], failure)
                 outcomes[k] = _ShardOutcome(answers, _NO_BILL, len(answers))
                 continue
-            outcomes[k], pipeline, obs_state = res
-            if pipeline is not None:
-                self._cache.put(keys[k], pipeline)
+            outcomes[k], obs_state = res
             self._merge_worker_obs(obs_state)
             setup_s.append(float(obs_state["setup_s"]))
             memory.append(obs_state["memory"])
@@ -1346,7 +1268,7 @@ class KnapsackService:
             # Worker telemetry describes the last batch that dispatched:
             # an all-hit batch leaves it as it was.
             self._worker_setup_s, self._worker_memory = setup_s, memory
-        return _ShardTotals.fold(outcomes, shard_retries)
+        return outcomes, shard_retries
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:

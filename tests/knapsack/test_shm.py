@@ -47,7 +47,6 @@ def test_round_trip_both_backends(inst, backend, tmp_path):
         assert np.array_equal(view.profits, inst.profits)
         assert np.array_equal(view.weights, inst.weights)
         assert view.capacity == inst.capacity
-        assert np.array_equal(store.efficiencies(), inst.efficiencies())
 
         attached = SharedInstanceStore.attach(store.handle)
         assert not attached.owner
@@ -215,7 +214,7 @@ def test_stats_surfaces(inst):
         stats = store.stats()
         assert stats["n"] == inst.n and stats["owner"]
         assert set(stats["columns"]) == {
-            "profits", "weights", "efficiencies", "alias_prob", "alias_idx"
+            "profits", "weights", "alias_prob", "alias_idx"
         }
         tier = shm_stats()
         assert store.handle.name in tier["owned_segments"]

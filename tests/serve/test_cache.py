@@ -1,6 +1,7 @@
 """PipelineCache: LRU mechanics, key derivation, collision resistance."""
 
 import dataclasses
+import pickle
 
 import pytest
 
@@ -131,3 +132,34 @@ class TestCacheKeyCollisions:
         cache.put(ka, "pipeline-for-a")
         assert cache.get(kb) is None
         assert cache.get(ka) == "pipeline-for-a"
+
+
+class _CountingHash:
+    """A ``params_key`` field that counts how often it is hashed."""
+
+    def __init__(self) -> None:
+        self.hashes = 0
+
+    def __hash__(self) -> int:
+        self.hashes += 1
+        return 7
+
+
+class TestWarmHitHashing:
+    def test_warm_hit_hashes_the_key_fields_at_most_once(self):
+        probe = _CountingHash()
+        key = CacheKey("f", "s", 1, (probe,), False, "coupon")
+        cache = PipelineCache(capacity=4)
+        cache.put(key, "pipeline")
+        for _ in range(3):
+            probe.hashes = 0
+            # A service keys every lookup with a fresh with_nonce copy.
+            assert cache.get(key.with_nonce(1)) == "pipeline"
+            assert probe.hashes <= 1
+
+    def test_pickled_key_recomputes_its_hash(self):
+        key = _key(3)
+        hash(key)
+        clone = pickle.loads(pickle.dumps(key))
+        assert "_hash" not in clone.__dict__
+        assert clone == key and hash(clone) == hash(key)

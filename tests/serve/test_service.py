@@ -8,6 +8,7 @@ import pytest
 from repro.access.seeds import SeedChain
 from repro.core.simplified_instance import SimplifiedInstance
 from repro.errors import ReproError
+from repro.faults import FaultPlan
 from repro.lca.base import LocalComputationAlgorithm
 from repro.serve import KnapsackService, PipelineCache, derive_worker_nonce
 
@@ -204,6 +205,51 @@ class TestProcessExecutor:
                 assert shipped is not None and not hit
                 assert shipped.signature_hash() == computed.signature_hash()
                 assert shipped == computed
+
+    @pytest.mark.parametrize(
+        "plan, batches",
+        [
+            pytest.param(None, 1, id="cold"),
+            pytest.param(None, 2, id="warm"),
+            # Shard 1 runs its pipeline, then a probe fails while it
+            # answers: it degrades to greedy and must not be cached.
+            pytest.param(
+                FaultPlan(seed=5, probe_failure_rate=0.1), 1, id="degraded"
+            ),
+        ],
+    )
+    def test_executors_answer_bill_and_cache_alike(
+        self, tiers_instance, fast_params, plan, batches
+    ):
+        def serve(executor):
+            with self.make(
+                tiers_instance, fast_params, executor=executor,
+                fault_plan=plan, strict=False,
+            ) as svc:
+                reports = [
+                    svc.answer_batch(range(40), nonce=5, workers=2)
+                    for _ in range(batches)
+                ]
+                cached = [
+                    k for k in range(2)
+                    if svc.cache_key(derive_worker_nonce(svc.seed, 5, k))
+                    in svc.cache
+                ]
+                return reports, svc.cache.stats(), cached
+
+        def fields(report):
+            doc = report.to_dict()
+            for timing in ("mode", "wall_clock_s", "queries_per_sec"):
+                del doc[timing]
+            return doc
+
+        thread, process = serve("thread"), serve("process")
+        assert [r.answers for r in thread[0]] == [r.answers for r in process[0]]
+        assert [fields(r) for r in thread[0]] == [fields(r) for r in process[0]]
+        assert thread[1:] == process[1:]
+        if plan is not None:
+            assert thread[0][0].degraded == 20  # exactly one shard degraded
+            assert thread[2] == [0]
 
     def test_unknown_executor_rejected(self, tiers_instance, fast_params):
         with pytest.raises(ReproError):

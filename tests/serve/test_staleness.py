@@ -7,7 +7,11 @@ the ladder falls through to greedy, so a degraded verdict is never
 served off an arbitrarily stale cache.
 """
 
+from collections import OrderedDict
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ReproError
 from repro.faults import FaultPlan, RetryPolicy
@@ -72,6 +76,87 @@ class TestStalenessClock:
         cache.advance_batch()
         _, age = cache.find_config(make_key(nonce=99))
         assert age == 1  # one batch since the warm hit, not two since put
+
+
+class _FullScanCache:
+    """Reference bookkeeping: an LRU plus a separate stamp dict, and a
+    ``find_config`` that scans every entry for the least age."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.entries = OrderedDict()
+        self.stamps = {}
+        self.tick = 0
+
+    def get(self, key):
+        if key not in self.entries:
+            return None
+        self.entries.move_to_end(key)
+        self.stamps[key] = self.tick
+        return self.entries[key]
+
+    def put(self, key, value):
+        if key in self.entries:
+            self.entries.move_to_end(key)
+        self.entries[key] = value
+        while len(self.entries) > self.capacity:
+            evicted, _ = self.entries.popitem(last=False)
+            del self.stamps[evicted]
+        self.stamps[key] = self.tick
+
+    def clear(self):
+        self.entries.clear()
+        self.stamps.clear()
+
+    def find_config(self, template, max_age=None):
+        best = None
+        for key in reversed(self.entries):
+            if key.instance_fingerprint != template.instance_fingerprint:
+                continue
+            age = self.tick - self.stamps[key]
+            if max_age is not None and age > max_age:
+                continue
+            if best is None or age < best[1]:
+                best = (self.entries[key], age)
+        return best
+
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("get"), st.sampled_from("ab"), st.integers(0, 3)),
+        st.tuples(st.just("put"), st.sampled_from("ab"), st.integers(0, 3)),
+        st.tuples(st.just("advance")),
+        st.tuples(st.just("clear")),
+    ),
+    max_size=40,
+)
+
+
+class TestFindConfigMatchesFullScan:
+    @settings(max_examples=200, deadline=None)
+    @given(capacity=st.integers(1, 4), ops=_OPS)
+    def test_mru_first_match_equals_least_age_scan(self, capacity, ops):
+        cache, ref = PipelineCache(capacity=capacity), _FullScanCache(capacity)
+        for step, (op, *args) in enumerate(ops):
+            if op == "get":
+                key = make_key(nonce=args[1], fingerprint=args[0])
+                assert cache.get(key) == ref.get(key)
+            elif op == "put":
+                key = make_key(nonce=args[1], fingerprint=args[0])
+                cache.put(key, step)
+                ref.put(key, step)
+            elif op == "advance":
+                cache.advance_batch()
+                ref.tick += 1
+            else:
+                cache.clear()
+                ref.clear()
+            for fingerprint in "ab":
+                template = make_key(nonce=99, fingerprint=fingerprint)
+                for max_age in (None, 0, 1, 2):
+                    assert cache.find_config(
+                        template, max_age=max_age
+                    ) == ref.find_config(template, max_age=max_age)
 
 
 class TestMaxStalenessValidation:
