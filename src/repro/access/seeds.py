@@ -25,8 +25,6 @@ import numpy as np
 
 __all__ = ["SeedChain", "fresh_nonce"]
 
-_NONCE_COUNTER = np.random.SeedSequence()  # module-level entropy source
-
 
 def fresh_nonce() -> int:
     """Return an OS-entropy nonce for per-run sampling randomness."""
@@ -122,6 +120,12 @@ class SeedChain:
     def path(self) -> tuple[str, ...]:
         """The label path from the root (for debugging/logging)."""
         return self._path
+
+    @property
+    def key(self) -> tuple[bytes, tuple[str, ...]]:
+        """``(seed bytes, label path)``: equal keys derive equal streams,
+        and the tuple hashes without running SHA-256 (a cheap memo key)."""
+        return (self._seed_bytes, self._path)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SeedChain):

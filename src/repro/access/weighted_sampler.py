@@ -22,6 +22,7 @@ Implicit (never-materialized) instances supply their own inverse-CDF via
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,9 +31,13 @@ from ..errors import OracleError, QueryBudgetExceededError
 from ..knapsack.instance import InstanceLike, KnapsackInstance
 from ..knapsack.items import Item
 from ..obs import runtime as _obs
-from .blocks import Sample, SampleBlock
+from .blocks import Sample, SampleBlock, TableBlock
+from .codes import CodeMemo
 
 __all__ = ["Sample", "SampleBlock", "WeightedSampler", "CustomSampler", "AliasTable"]
+
+#: Guards adding and evicting code memos; reads and fills take no lock.
+_MEMO_LOCK = threading.Lock()
 
 
 class AliasTable:
@@ -57,7 +62,10 @@ class AliasTable:
     table.
     """
 
-    __slots__ = ("_prob", "_alias", "_n")
+    __slots__ = ("_prob", "_alias", "_n", "_memos")
+
+    #: Code memos one table keeps, one per (columns, eps^2, domain).
+    MAX_CODE_MEMOS = 4
 
     def __init__(self, probabilities: Sequence[float] | np.ndarray) -> None:
         p = np.asarray(probabilities, dtype=float)
@@ -74,6 +82,7 @@ class AliasTable:
         self._prob = prob
         self._alias = alias
         self._n = n
+        self._memos: dict[tuple, CodeMemo | None] = {}
 
     @classmethod
     def from_arrays(
@@ -92,10 +101,52 @@ class AliasTable:
         if prob.ndim != 1 or prob.size == 0 or prob.shape != alias.shape:
             raise OracleError("alias table columns must be equal-length 1-D arrays")
         table = cls.__new__(cls)
-        table._prob = prob
-        table._alias = alias
-        table._n = prob.size
+        table.__setstate__((prob, alias))
         return table
+
+    def __getstate__(self) -> tuple:
+        # The code memos are never pickled: a copy starts without them.
+        return (self._prob, self._alias)
+
+    def __setstate__(self, state: tuple) -> None:
+        self._prob, self._alias = state
+        self._n = self._prob.size
+        self._memos = {}
+
+    def code_memo(
+        self, profits: np.ndarray, weights: np.ndarray, eps_sq: float, domain
+    ) -> CodeMemo | None:
+        """The :class:`~repro.access.codes.CodeMemo` of the instance
+        columns ``profits``/``weights`` under ``(eps_sq, domain)``.
+
+        The first request for a key returns ``None`` and only marks the
+        key seen; the second creates the memo empty.  A memo pays back
+        only once a second run draws from this table, so a table that
+        serves one run (a fresh service's warm-up request, a one-shot
+        query) computes that run's codes from the columns and allocates
+        and fills nothing.
+
+        Keyed by the columns' identity, so a table shared by two
+        instances of one size never mixes their codes; a memo holds its
+        columns, so their ids stay unique while it lives.  At most
+        :attr:`MAX_CODE_MEMOS` keys are kept, oldest dropped first.
+        """
+        key = (
+            id(profits), id(weights), float(eps_sq), domain.bits, domain.lo, domain.hi
+        )
+        memo = self._memos.get(key)
+        if memo is None:
+            with _MEMO_LOCK:
+                if key not in self._memos:
+                    self._memos[key] = None
+                    while len(self._memos) > self.MAX_CODE_MEMOS:
+                        del self._memos[next(iter(self._memos))]
+                    return None
+                memo = self._memos[key]
+                if memo is None:
+                    memo = CodeMemo(profits, weights, float(eps_sq), domain)
+                    self._memos[key] = memo
+        return memo
 
     @property
     def prob(self) -> np.ndarray:
@@ -265,18 +316,18 @@ class WeightedSampler:
     def sample_block(self, m: int, rng: np.random.Generator) -> SampleBlock:
         """Draw ``m`` samples as one columnar :class:`SampleBlock`.
 
-        One vectorized draw, one attribute gather, one accounting call:
-        the block bills exactly ``m`` draws (the IKY12 per-draw currency)
-        but materializes zero per-draw Python objects.
+        One vectorized draw, one accounting call: the block bills exactly
+        ``m`` draws (the IKY12 per-draw currency) but materializes zero
+        per-draw Python objects.  Its profit and weight columns are
+        gathered on first access, and its efficiency codes come from
+        this table's :meth:`AliasTable.code_memo`.
         """
         if m < 0:
             raise OracleError("sample count must be >= 0")
         self._charge_block(m)
         indices = self._table.draw_many(m, rng)
-        return SampleBlock(
-            indices,
-            self._instance.profits[indices],
-            self._instance.weights[indices],
+        return TableBlock(
+            indices, self._instance.profits, self._instance.weights, self._table
         )
 
     def sample_many(self, m: int, rng: np.random.Generator) -> list[Sample]:

@@ -47,6 +47,7 @@ next to the calibrated sizes actually used.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -59,9 +60,36 @@ __all__ = [
     "rmedian",
     "rquantile_descent",
     "rquantile_descent_batch",
+    "shared_coin",
     "theoretical_sample_complexity",
     "practical_sample_complexity",
 ]
+
+
+#: Shared-seed coins :func:`rquantile_descent_batch` keeps (LRU-evicted).
+COIN_MEMO_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=COIN_MEMO_SIZE, typed=True)
+def _memo_coin(key: tuple, label: str, kind: str, low, high):
+    node = SeedChain(key[0], key[1] + (label,))
+    return node.uniform(low, high) if kind == "uniform" else node.integer(low, high)
+
+
+def shared_coin(node: SeedChain, label: str, kind: str, low, high):
+    """``node.child(label).uniform(low, high)`` (``kind="uniform"``) or
+    ``.integer(low, high)`` (``kind="integer"``), memoized.
+
+    rQuantile's coins (target perturbation, stopping floor, lattice
+    offsets) come from the shared seed r, so every run of the pipeline
+    derives the same few dozen of them; each derivation is a SHA-256
+    and a fresh generator.  The memo is keyed by node, label, kind and
+    bounds, typed so that int and float bounds never share an entry,
+    and bounded at :data:`COIN_MEMO_SIZE` entries.  It is deliberately
+    not a memo on every :class:`SeedChain` draw: fault and tie coins
+    use keys drawn once and never again, which would only churn it.
+    """
+    return _memo_coin(node.key, label, kind, low, high)
 
 
 def rquantile_descent(
@@ -172,7 +200,8 @@ def rquantile_descent_batch(
     serving every threshold — while every per-threshold scalar
     (``theta``, ``floor``, lattice offsets, rank arithmetic, mass decay)
     is computed with the exact floating-point expressions of the scalar
-    path.  The result is bit-identical to calling
+    path; the shared-seed coins come through :func:`shared_coin`, so
+    repeated runs derive them once.  The result is bit-identical to calling
     :func:`rquantile_descent` once per ``(seed, target)`` pair; a
     hypothesis property test pins this, since run outputs (and therefore
     pipeline reproducibility) depend on it.
@@ -200,7 +229,12 @@ def rquantile_descent_batch(
     k = len(targets)
     if k == 0:
         return np.empty(0, dtype=np.int64)
-    xs = np.sort(np.asarray(samples, dtype=np.int64))
+    # Sort before widening: narrow codes (the pipeline's int16 memo
+    # reads) sort several times faster than their int64 copies.
+    xs = np.asarray(samples)
+    if xs.dtype.kind != "i":
+        xs = xs.astype(np.int64)
+    xs = np.sort(xs).astype(np.int64, copy=False)
     if xs.size == 0:
         raise ReproducibilityError("rquantile_descent needs at least one sample")
     if domain_size < 1:
@@ -222,8 +256,8 @@ def rquantile_descent_batch(
     for i, (node, p) in enumerate(zip(seeds, targets)):
         lo_t = max(0.0, p - tau / 2)
         hi_t = min(1.0, p + tau / 2)
-        t[i] = node.child("theta").uniform(lo_t, hi_t)
-        floor[i] = node.child("floor").uniform(tau / 4, tau / 2)
+        t[i] = shared_coin(node, "theta", "uniform", lo_t, hi_t)
+        floor[i] = shared_coin(node, "floor", "uniform", tau / 4, tau / 2)
 
     lo = np.zeros(k, dtype=np.int64)
     hi = np.full(k, domain_size, dtype=np.int64)
@@ -237,7 +271,9 @@ def rquantile_descent_batch(
         width = np.maximum(1, np.ceil((hi - lo) / branching)).astype(np.int64)
         offset = np.zeros(k, dtype=np.int64)
         for i in np.nonzero(active)[0]:
-            offset[i] = seeds[i].child(f"offset-{round_idx}").integer(0, int(width[i]))
+            offset[i] = shared_coin(
+                seeds[i], f"offset-{round_idx}", "integer", 0, int(width[i])
+            )
         a = np.searchsorted(xs, lo, side="left")
         b = np.searchsorted(xs, hi, side="left")
         sz = b - a

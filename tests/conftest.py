@@ -77,3 +77,38 @@ def make_lca(instance, params, *, seed: int = 42):
     sampler = WeightedSampler(instance)
     oracle = QueryOracle(instance)
     return LCAKP(sampler, oracle, params.epsilon, seed, params=params), sampler, oracle
+
+
+class SegmentLedger:
+    """Shared-memory segments one test created, for leak checks that do
+    not see other processes' live segments on the same host."""
+
+    def __init__(self) -> None:
+        self.names: list[str] = []
+
+    def leaked(self) -> list[str]:
+        """This test's segments still visible on the host."""
+        from repro.knapsack.shm import orphaned_system_segments
+
+        return [
+            found
+            for found in orphaned_system_segments()
+            if any(found.startswith(name) for name in self.names)
+        ]
+
+
+@pytest.fixture()
+def segments(monkeypatch) -> SegmentLedger:
+    """Record every :meth:`SharedInstanceStore.create` of this test."""
+    from repro.knapsack.shm import SharedInstanceStore
+
+    ledger = SegmentLedger()
+    create = SharedInstanceStore.create.__func__
+
+    def recording(cls, *args, **kwargs):
+        store = create(cls, *args, **kwargs)
+        ledger.names.append(store.handle.name)
+        return store
+
+    monkeypatch.setattr(SharedInstanceStore, "create", classmethod(recording))
+    return ledger

@@ -21,7 +21,6 @@ from repro.knapsack.shm import (
     active_segments,
     attach_cached,
     detach_cached,
-    orphaned_system_segments,
     process_memory,
     shm_stats,
 )
@@ -38,7 +37,7 @@ def _counter(name):
 
 
 @pytest.mark.parametrize("backend", ["shm", "mmap"])
-def test_round_trip_both_backends(inst, backend, tmp_path):
+def test_round_trip_both_backends(inst, backend, tmp_path, segments):
     with SharedInstanceStore.create(
         inst, backend=backend, spill_dir=str(tmp_path)
     ) as store:
@@ -57,10 +56,10 @@ def test_round_trip_both_backends(inst, backend, tmp_path):
         assert a.indices.tobytes() == b.indices.tobytes()
         attached.close()
     assert store.closed
-    assert orphaned_system_segments() == []
+    assert segments.leaked() == []
 
 
-def test_prebuilt_table_is_copied_not_rebuilt(inst, monkeypatch):
+def test_prebuilt_table_is_copied_not_rebuilt(inst, monkeypatch, segments):
     table = WeightedSampler(inst).table
     builds = []
     monkeypatch.setattr(
@@ -70,7 +69,7 @@ def test_prebuilt_table_is_copied_not_rebuilt(inst, monkeypatch):
         assert builds == []
         assert store.column("alias_prob").tobytes() == table.prob.tobytes()
         assert store.column("alias_idx").tobytes() == table.alias.tobytes()
-    assert orphaned_system_segments() == []
+    assert segments.leaked() == []
 
 
 def test_prebuilt_table_row_count_checked(inst):
@@ -144,7 +143,7 @@ def test_attach_cache_refcounts(inst):
         detach_cached(store.handle)  # over-release is a no-op
 
 
-def test_lifecycle_counters_balance(inst):
+def test_lifecycle_counters_balance(inst, segments):
     created0 = _counter("shm.segments_created")
     unlinked0 = _counter("shm.segments_unlinked")
     for _ in range(3):
@@ -154,10 +153,17 @@ def test_lifecycle_counters_balance(inst):
         store.close()  # idempotent
     assert _counter("shm.segments_created") - created0 == 3
     assert _counter("shm.segments_unlinked") - unlinked0 == 3
-    assert orphaned_system_segments() == []
+    assert segments.leaked() == []
 
 
-def test_gc_backstop_unlinks_forgotten_owner(inst):
+def test_segment_ledger_sees_only_this_tests_segments(inst, segments):
+    with SharedInstanceStore.create(inst) as store:
+        assert segments.names == [store.handle.name]
+        assert segments.leaked() == [store.handle.name]
+    assert segments.leaked() == []
+
+
+def test_gc_backstop_unlinks_forgotten_owner(inst, segments):
     import gc
 
     unlinked0 = _counter("shm.segments_unlinked")
@@ -166,7 +172,7 @@ def test_gc_backstop_unlinks_forgotten_owner(inst):
     del store
     gc.collect()
     assert name not in active_segments()
-    assert orphaned_system_segments() == []
+    assert segments.leaked() == []
     assert _counter("shm.segments_unlinked") == unlinked0 + 1
 
 

@@ -22,7 +22,6 @@ from repro.access.weighted_sampler import AliasTable, WeightedSampler
 from repro.core.lca_kp import LCAKP
 from repro.faults import FaultPlan, RetryPolicy
 from repro.knapsack import generators
-from repro.knapsack.shm import orphaned_system_segments
 from repro.serve import KnapsackService, derive_worker_nonce
 
 N = 20_000
@@ -153,7 +152,9 @@ def test_concurrent_callers_get_reference_answers(fast_params, alias_builds):
 
 
 @pytest.mark.slow
-def test_shared_service_reuses_its_table_across_close(fast_params, alias_builds):
+def test_shared_service_reuses_its_table_across_close(
+    fast_params, alias_builds, segments
+):
     with KnapsackService(
         INSTANCE, fast_params.epsilon, seed=SEED, params=fast_params,
         cache=False, executor="process", shared_instance=True,
@@ -170,4 +171,4 @@ def test_shared_service_reuses_its_table_across_close(fast_params, alias_builds)
         assert again.samples_spent == first.samples_spent
     # Both segments were filled from the service's table, not rebuilt.
     assert alias_builds == []
-    assert orphaned_system_segments() == []
+    assert segments.leaked() == []

@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 
 from repro.faults import FaultPlan, RetryPolicy, chaos_sweep
-from repro.knapsack.shm import orphaned_system_segments
 from repro.serve import KnapsackService
 from repro.serve import service as service_module
 from repro.suite import SuiteConfig, run_suite
@@ -204,7 +203,9 @@ class TestReplacement:
 @pytest.mark.slow
 class TestClose:
     @pytest.mark.parametrize("shared", [False, True])
-    def test_close_leaves_no_child_process(self, tiers_instance, fast_params, shared):
+    def test_close_leaves_no_child_process(
+        self, tiers_instance, fast_params, shared, segments
+    ):
         before = multiprocessing.active_children()
         svc = make(
             tiers_instance, fast_params, executor="process", shared_instance=shared
@@ -214,15 +215,17 @@ class TestClose:
         assert new_children(before)  # the workers outlive each batch
         svc.close()
         assert new_children(before) == []
-        assert orphaned_system_segments() == []
+        assert len(segments.names) == int(shared)
+        assert segments.leaked() == []
         # Still usable: the next batch builds a fresh pool (and segment).
         svc.answer_batch(INDICES, nonce=33, workers=2)
         svc.close()
         assert new_children(before) == []
-        assert orphaned_system_segments() == []
+        assert len(segments.names) == 2 * int(shared)
+        assert segments.leaked() == []
 
     def test_in_tree_owners_close_their_services(
-        self, tiers_instance, fast_params, monkeypatch
+        self, tiers_instance, fast_params, monkeypatch, segments
     ):
         # Refcounting reaps a dropped service's pool soon after, so the
         # leak checks below cannot see an owner that forgot close();
@@ -251,7 +254,7 @@ class TestClose:
         )
         assert opened and all(id(svc) in closed for svc in opened)
         assert new_children(before) == []
-        assert orphaned_system_segments() == []
+        assert segments.leaked() == []
         pool_threads = [
             t
             for t in set(threading.enumerate()) - threads_before

@@ -14,7 +14,6 @@ from repro.errors import ReproError
 from repro.knapsack.shm import (
     SharedInstanceStore,
     active_segments,
-    orphaned_system_segments,
 )
 from repro.obs import runtime as rt
 from repro.serve import KnapsackService
@@ -78,7 +77,9 @@ class TestSharedServiceParity:
             assert svc.shm_stats()["worker_setup_s"] == shm["worker_setup_s"]
             assert svc.shm_stats()["worker_memory"] == shm["worker_memory"]
 
-    def test_worker_kill_requeues_without_leaking(self, tiers_instance, fast_params):
+    def test_worker_kill_requeues_without_leaking(
+        self, tiers_instance, fast_params, segments
+    ):
         from repro.faults import FaultPlan
 
         created0 = _counter("shm.segments_created")
@@ -94,11 +95,13 @@ class TestSharedServiceParity:
             assert _counter("serve.shard_retries") > 0  # kills actually fired
         assert _counter("shm.segments_created") - created0 == 1
         assert _counter("shm.segments_unlinked") - unlinked0 == 1
-        assert orphaned_system_segments() == []
+        assert segments.leaked() == []
 
 
 @pytest.mark.slow
-def test_caller_owned_store_shared_between_services(tiers_instance, fast_params):
+def test_caller_owned_store_shared_between_services(
+    tiers_instance, fast_params, segments
+):
     with SharedInstanceStore.create(tiers_instance) as store:
         for seed in (42, 43):
             svc = KnapsackService(
@@ -109,7 +112,7 @@ def test_caller_owned_store_shared_between_services(tiers_instance, fast_params)
             svc.close()  # must NOT unlink the caller's store
             assert not store.closed
             assert not svc.stats()["shm"]["owns_store"]
-    assert orphaned_system_segments() == []
+    assert segments.leaked() == []
 
 
 def test_shared_instance_requires_explicit_instance():

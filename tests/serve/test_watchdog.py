@@ -13,7 +13,6 @@ import pytest
 
 from repro.errors import DeadlineExceededError
 from repro.faults import FaultPlan
-from repro.knapsack.shm import orphaned_system_segments
 from repro.serve import KnapsackService
 from repro.serve import service as service_module
 
@@ -125,7 +124,7 @@ class TestWatchdog:
         assert run() == run()
 
     def test_no_shm_leak_after_watchdog_teardown(
-        self, tiers_instance, fast_params
+        self, tiers_instance, fast_params, segments
     ):
         svc = KnapsackService(
             tiers_instance, 0.1, seed=42, params=fast_params, cache=False,
@@ -137,7 +136,7 @@ class TestWatchdog:
             assert len(report.answers) == len(INDICES)
         finally:
             svc.close()
-        assert orphaned_system_segments() == []
+        assert segments.leaked() == []
 
     def test_bad_deadline_rejected(self, tiers_instance, fast_params):
         from repro.errors import ReproError
