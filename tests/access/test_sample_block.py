@@ -39,7 +39,6 @@ class TestSampleBlock:
             assert isinstance(s, Sample)
             assert s.profit == block.profits[k]
             assert s.weight == block.weights[k]
-            assert s.efficiency == block.efficiencies[k]
         assert block.sample_at(1).index == 0
 
     def test_columns_are_read_only(self, inst):
@@ -47,7 +46,7 @@ class TestSampleBlock:
         with pytest.raises(ValueError):
             block.indices[0] = 2
         with pytest.raises(ValueError):
-            block.efficiencies[0] = 0.0
+            block.profits[0] = 0.0
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(OracleError):
