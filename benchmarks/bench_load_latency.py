@@ -16,8 +16,8 @@ Two measurements in one committed document:
    let the tail explode.  Virtual timestamps are a pure function of the
    seeds, so this half of the document is byte-reproducible and is
    exactly what ``repro obs-diff`` reruns from the committed context
-   block (the wall rows surface as unmatched rows, reported but never
-   compared across hardware).
+   block (the wall rows declare ``rerun_exempt``, so they surface as
+   unmatched rows with that reason, never compared across hardware).
 
 Writes ``benchmarks/results/LOAD_latency.{txt,json}`` via the shared
 conftest plumbing and the top-level ``BENCH_load.json``
@@ -30,6 +30,7 @@ import pathlib
 from conftest import emit_json, run_once
 
 from repro.load import LOAD_DEFAULTS, run_load_sweep
+from repro.obs.diff import RERUN_EXEMPT
 from repro.core.parameters import LCAParameters
 from repro.knapsack import generate
 from repro.load import LoadHarness, bench_load_document
@@ -47,6 +48,10 @@ WALL_RATE = 200.0
 WALL_QUERIES = 600
 WALL_SWEEPS = 3
 WALL_SIZES = (10_000, 100_000, 1_000_000)
+WALL_EXEMPT = (
+    "wall-clock row: the context block reruns only the virtual-clock rate "
+    "sweep, and wall latencies do not reproduce across hosts"
+)
 
 
 def _quietest(harness, sweeps=WALL_SWEEPS):
@@ -71,6 +76,7 @@ def _wall_rows():
         row = _quietest(harness)
         row["n"] = n
         row["family"] = "uniform"
+        row[RERUN_EXEMPT] = WALL_EXEMPT
         rows.append(row)
     return rows
 
@@ -107,6 +113,7 @@ def _shared_wall_row():
     row["n"] = SHARED_WALL_SIZE
     row["family"] = "uniform"
     row["shared_instance"] = True
+    row[RERUN_EXEMPT] = WALL_EXEMPT
     return row
 
 

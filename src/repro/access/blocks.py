@@ -102,9 +102,10 @@ class SampleBlock:
     def small_codes(self, eps_sq: float, domain) -> np.ndarray:
         """Grid codes of the draws with profit at most ``eps_sq``, in
         draw order: ``domain.encode_many`` of their efficiencies, the
-        input rQuantile gets in Algorithm 2 line 10.  Computed from this
-        block's own columns (so a corrupted or custom block keeps its
-        values)."""
+        input rQuantile gets in Algorithm 2 line 10, as
+        :func:`~repro.access.codes.code_dtype` integers.  Computed from
+        this block's own columns (so a corrupted or custom block keeps
+        its values)."""
         return encode_small(self.profits, self.weights, eps_sq, domain)[1]
 
     def __len__(self) -> int:
@@ -187,4 +188,4 @@ class TableBlock(SampleBlock):
         if memo is None:
             return super().small_codes(eps_sq, domain)
         codes = memo.lookup(self.indices)
-        return codes[codes >= 0]
+        return codes.take(np.flatnonzero(codes >= 0))

@@ -34,16 +34,21 @@ LARGE = -2
 
 def encode_small(profits, weights, eps_sq: float, domain, rows=None):
     """``(small, codes)`` for the rows of ``profits``/``weights``
-    (all of them, or ``rows`` of them): ``small`` masks the rows with
-    profit at most ``eps_sq`` and ``codes`` are
+    (all of them, or ``rows`` of them): ``small`` lists the positions
+    of the rows with profit at most ``eps_sq`` and ``codes`` are
     ``domain.encode_many(efficiency_array(p, w))`` of those rows, in
-    row order.  The one encoding rule both
-    :meth:`~repro.access.blocks.SampleBlock.small_codes` and
-    :class:`CodeMemo` use; weights are gathered for small rows only."""
+    row order, as :func:`code_dtype` integers.  The one encoding rule
+    both :meth:`~repro.access.blocks.SampleBlock.small_codes` and
+    :class:`CodeMemo` use; weights are gathered for small rows only.
+
+    The rows are selected by position: the small/large mask is mixed,
+    and numpy gathers through a mixed boolean mask several times
+    slower than through its position list."""
     p = profits if rows is None else profits[rows]
-    small = p <= eps_sq
+    small = np.flatnonzero(p <= eps_sq)
     w = weights[small] if rows is None else weights[rows[small]]
-    return small, domain.encode_many(efficiency_array(p[small], w))
+    codes = domain.encode_many(efficiency_array(p[small], w))
+    return small, codes.astype(code_dtype(domain.size), copy=False)
 
 
 def code_dtype(domain_size: int) -> np.dtype:

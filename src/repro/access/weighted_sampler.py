@@ -239,13 +239,21 @@ class AliasTable:
         return int(self._alias[i])
 
     def draw_many(self, m: int, rng: np.random.Generator) -> np.ndarray:
-        """Vectorized batch of ``m`` draws."""
+        """Vectorized batch of ``m`` draws: draw ``k`` is ``idx[k]`` when
+        ``coin[k] < prob[idx[k]]``, else ``alias[idx[k]]``, with all of
+        ``idx`` drawn before all of ``coin``.
+
+        The draws that move to their alias are selected by position, not
+        by a boolean mask: the mask is mixed (a third of ``planted_lsg``'s
+        draws move), and numpy gathers and scatters through a mixed mask
+        several times slower than through its position list.  The moves
+        are written into the fresh ``idx`` array, never into a column.
+        """
         idx = rng.integers(self._n, size=m)
         coin = rng.random(m)
-        take_alias = coin >= self._prob[idx]
-        out = idx.copy()
-        out[take_alias] = self._alias[idx[take_alias]]
-        return out
+        moved = np.flatnonzero(coin >= self._prob[idx])
+        idx[moved] = self._alias[idx[moved]]
+        return idx
 
 
 class WeightedSampler:

@@ -19,7 +19,8 @@ Subcommands
                 timeline, write a deterministic events/v1 document;
 ``obs-diff``    compare two bench documents (or a fresh quick run,
                 reconstructed from the baseline's own ``context`` block,
-                against a committed one) and flag perf regressions;
+                against a committed one) and flag perf regressions and
+                baseline rows left unchecked;
 ``serve``       serve a query batch through the KnapsackService engine;
 ``loadgen``     drive the service with seeded open-loop load across an
                 offered-rate sweep, report tail latency and the
@@ -1550,10 +1551,18 @@ def _cmd_obs_diff(args: argparse.Namespace) -> int:
             ["row", "metric", "status", "baseline", "candidate", "note"], rows
         ))
     for missing in doc["rows_missing"]:
-        print(f"unmatched row: {missing}")
+        if missing in doc["rows_exempt"]:
+            note = f" (not rerun: {doc['rows_exempt'][missing]})"
+        elif missing in doc["rows_unchecked"]:
+            note = " UNCHECKED (no candidate row, and no rerun_exempt reason)"
+        else:
+            note = ""
+        print(f"unmatched row: {missing}{note}")
     print(
-        f"{doc['rows_compared']} rows compared: {doc['regressions']} regressions, "
-        f"{doc['drifts']} drifts, {doc['improvements']} improvements -> "
+        f"{doc['rows_compared']} rows compared, {len(doc['rows_missing'])} "
+        f"unmatched: {len(doc['rows_unchecked'])} unchecked, "
+        f"{doc['regressions']} regressions, {doc['drifts']} drifts, "
+        f"{doc['improvements']} improvements -> "
         + ("OK" if doc["ok"] else "FAIL")
     )
     if args.out:

@@ -259,11 +259,12 @@ class LCAKP:
         samples_before = self._sampler.cost_counter
 
         # Lines 1-3: sample R, keep large items, deduplicate.  The block
-        # is consumed columnar: a boolean profit mask, then np.unique
-        # first-occurrence dedup ordered by draw position — the same
-        # first-sample-wins semantics as the original per-object loop
-        # (and the same Python-float summation order for p_large, which
-        # the bit-identity guarantee of the equivalence test relies on).
+        # is consumed columnar: the positions of the large draws, then
+        # np.unique first-occurrence dedup ordered by draw position — the
+        # same first-sample-wins semantics as the original per-object
+        # loop (and the same Python-float summation order for p_large,
+        # which the bit-identity guarantee of the equivalence test
+        # relies on).
         with _obs.span("sample.large"):
             r_block = self._sampler.sample_block(params.m_large, rng)
             large: dict[int, tuple[float, float]] = {}
@@ -289,17 +290,14 @@ class LCAKP:
                 )
                 large = {i: attributes[i] for i in hh.items}
             else:
-                mask = r_block.profits > eps_sq
-                cand = r_block.indices[mask]
-                uniq, first = np.unique(cand, return_index=True)
+                hits = np.flatnonzero(r_block.profits > eps_sq)
+                uniq, first = np.unique(r_block.indices[hits], return_index=True)
                 order = np.argsort(first, kind="stable")
-                keep = first[order]
+                keep = hits[first[order]]
                 large = {
                     int(i): (float(p), float(w))
                     for i, p, w in zip(
-                        uniq[order],
-                        r_block.profits[mask][keep],
-                        r_block.weights[mask][keep],
+                        uniq[order], r_block.profits[keep], r_block.weights[keep]
                     )
                 }
             p_large = min(sum(p for p, _ in large.values()), 1.0)

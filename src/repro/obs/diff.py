@@ -41,13 +41,19 @@ way.
 
 Rows are matched by ``(mode, n, family, rate, clock)`` — the two extra
 coordinates are ``None`` for classic bench rows, so old documents keep
-their keys.  In ``relative_only`` mode (fresh quick run vs. a committed
-document recorded on other hardware) absolute timings are meaningless,
-so only dimensionless relative metrics are compared.
+their keys.  A baseline row with no match in the candidate went
+unchecked, and fails the diff unless the row itself declares, under
+:data:`RERUN_EXEMPT`, why a rerun cannot reproduce it (a wall-clock row
+beside a virtual-clock sweep, a size past the rerun's sizes).
+Candidate-only rows are reported and never fail.  In ``relative_only``
+mode (fresh quick run vs. a committed document recorded on other
+hardware) absolute timings are meaningless, so only dimensionless
+relative metrics are compared.
 
 The output is a ``bench-diff/v1`` document; ``ok`` is False iff any
-regression or drift was found — ``repro obs-diff`` turns that into its
-exit code, which is what makes this a CI tripwire.
+regression, drift or unchecked baseline row was found — ``repro
+obs-diff`` turns that into its exit code, which is what makes this a
+CI tripwire.
 """
 
 from __future__ import annotations
@@ -60,6 +66,7 @@ __all__ = [
     "RELATIVE_METRICS",
     "TIMELINE_EXACT",
     "EXACT_GAUGE_SUFFIXES",
+    "RERUN_EXEMPT",
     "diff_documents",
 ]
 
@@ -105,6 +112,10 @@ TIMELINE_EXACT = (
 #: Gauge name suffixes holding deterministic state rather than a
 #: measurement; these drift on any mismatch instead of thresholding.
 EXACT_GAUGE_SUFFIXES = (".size", ".level", ".depth", ".state", ".inflight")
+
+#: Row field holding why a rerun cannot reproduce the row; a baseline
+#: row carrying it may go unmatched without failing the diff.
+RERUN_EXEMPT = "rerun_exempt"
 
 
 def _timeline_metrics(row: dict) -> dict:
@@ -327,10 +338,17 @@ def diff_documents(
     findings: list[dict] = []
     rows_compared = 0
     rows_missing: list[str] = []
+    rows_exempt: dict[str, str] = {}
+    rows_unchecked: list[str] = []
     for key, base in base_rows.items():
         cand = cand_rows.get(key)
         if cand is None:
-            rows_missing.append(_key_label(key))
+            label = _key_label(key)
+            rows_missing.append(label)
+            if base.get(RERUN_EXEMPT):
+                rows_exempt[label] = str(base[RERUN_EXEMPT])
+            else:
+                rows_unchecked.append(label)
             continue
         rows_compared += 1
         findings.extend(
@@ -373,9 +391,11 @@ def diff_documents(
         "relative_only": relative_only,
         "rows_compared": rows_compared,
         "rows_missing": sorted(rows_missing),
+        "rows_exempt": dict(sorted(rows_exempt.items())),
+        "rows_unchecked": sorted(rows_unchecked),
         "findings": findings,
         "regressions": regressions,
         "improvements": improvements,
         "drifts": drifts,
-        "ok": regressions == 0 and drifts == 0,
+        "ok": regressions == 0 and drifts == 0 and not rows_unchecked,
     }

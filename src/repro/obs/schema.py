@@ -14,7 +14,9 @@ Every validator is written over one small set of shared rules:
 * :func:`_monotone` — a sequence never falls (or strictly rises);
 * :func:`_no_timing_keys` — a deterministic document carries no
   wall-clock field; :func:`_pin_context` — ``context.bench`` names the
-  document's kind.
+  document's kind;
+* :func:`_check_rerun_exempt` — a row that declares it cannot be rerun
+  exactly says why.
 
 ``bench-load`` and ``bench-overload`` go through one sweep check
 (:func:`_check_sweep`); overload adds only its own mode, goodput ledger
@@ -45,6 +47,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from ..suite.cells import CELL_EXPECTS, CELL_KINDS
+from .diff import RERUN_EXEMPT
 
 __all__ = [
     "SchemaError",
@@ -267,6 +270,15 @@ def _no_timing_keys(scope: dict, problems: list[str], where: str = "") -> None:
             )
 
 
+def _check_rerun_exempt(row: dict, problems: list[str], where: str) -> None:
+    """A row's optional :data:`~repro.obs.diff.RERUN_EXEMPT` field says
+    why a rerun from the document's context cannot reproduce the row:
+    a non-empty string."""
+    if RERUN_EXEMPT in row and _require(row, RERUN_EXEMPT, str, problems, where) \
+            and not row[RERUN_EXEMPT].strip():
+        problems.append(f"{where}{RERUN_EXEMPT} must say why the row cannot rerun")
+
+
 def _pin_context(doc: dict, bench: str | None, problems: list[str], *,
                  required: bool = True) -> None:
     """``context`` is an object whose ``bench`` is ``bench`` (unpinned when
@@ -452,7 +464,8 @@ def validate_bench_result(doc: dict) -> dict:
     problems = _problems(doc, "bench-result/v1")
     for key in ("name", "title"):
         _require(doc, key, str, problems)
-    list(_objects(doc, "rows", problems))
+    for where, row in _objects(doc, "rows", problems):
+        _check_rerun_exempt(row, problems, where)
     _require(doc, "wall_clock_s", _NUM, problems)
     _require(doc, "total_queries", int, problems)
     _require(doc, "total_samples", int, problems)
@@ -503,6 +516,7 @@ def _check_sweep(doc: dict, bench: str, problems: list[str],
             _require(row, key, _NUM, problems, where, nonneg=True)
         _require(row, "clock", str, problems, where, choices=_CLOCKS)
         _require(row, "arrival", str, problems, where)
+        _check_rerun_exempt(row, problems, where)
         for phase in ("queueing", "latency"):
             keys = [f"{q}_{phase}_ms" for q in _QUANTILES]
             for key in keys:
@@ -745,8 +759,9 @@ _DIFF_COUNTS = {"regressions": "regression", "improvements": "improvement",
 def validate_bench_diff(doc: dict) -> dict:
     """Validate a ``bench-diff/v1`` document, including its summary
     arithmetic: the regression/improvement/drift counts must equal the
-    findings they summarize, and ``ok`` must mean exactly "no
-    regressions and no drifts"."""
+    findings they summarize, every unchecked or exempt row must be an
+    unmatched one, and ``ok`` must mean exactly "no regressions, no
+    drifts and no unchecked baseline rows"."""
     problems = _problems(doc, "bench-diff/v1")
     _require(doc, "baseline", dict, problems)
     _require(doc, "candidate", dict, problems)
@@ -755,7 +770,19 @@ def validate_bench_diff(doc: dict) -> dict:
     _require(doc, "abs_floor_s", _NUM, problems)
     _require(doc, "relative_only", bool, problems)
     _require(doc, "rows_compared", int, problems)
-    _require(doc, "rows_missing", list, problems)
+    missing = doc["rows_missing"] if _require(
+        doc, "rows_missing", list, problems) else []
+    unchecked = doc["rows_unchecked"] if _require(
+        doc, "rows_unchecked", list, problems) else []
+    exempt = doc["rows_exempt"] if _require(
+        doc, "rows_exempt", dict, problems) else {}
+    _check_values(exempt, str, problems, "rows_exempt")
+    for key, labels in (("rows_unchecked", unchecked), ("rows_exempt", exempt)):
+        for label in labels:
+            if label not in missing:
+                problems.append(
+                    f"{key} names {label!r}, which rows_missing does not hold"
+                )
     statuses = Counter()
     for where, entry in _objects(doc, "findings", problems):
         _require(entry, "row", str, problems, where)
@@ -765,8 +792,9 @@ def validate_bench_diff(doc: dict) -> dict:
             statuses[entry["status"]] += 1
     for key, status in _DIFF_COUNTS.items():
         _agrees(doc, key, int, statuses[status], "the findings hold", problems)
-    _agrees(doc, "ok", bool, not (statuses["regression"] or statuses["drift"]),
-            "the findings say", problems)
+    _agrees(doc, "ok", bool,
+            not (statuses["regression"] or statuses["drift"] or unchecked),
+            "the findings and unchecked rows say", problems)
     return _verdict("bench-diff/v1", doc, problems)
 
 

@@ -28,6 +28,7 @@ import time
 from ..access.oracle import QueryOracle
 from ..access.weighted_sampler import WeightedSampler
 from ..core.lca_kp import LCAKP
+from ..obs.diff import RERUN_EXEMPT
 from .service import KnapsackService
 
 __all__ = [
@@ -39,6 +40,13 @@ __all__ = [
     "shm_scale_rows",
     "bench_shm_document",
 ]
+
+#: Why a shared-memory row outside the context's ``rerun_sizes`` is not
+#: rerun by ``repro obs-diff``.
+SHM_SCALE_EXEMPT = (
+    "machine-scale row: n is past the context's rerun_sizes, which a fresh "
+    "rerun runs alone"
+)
 
 
 def _row(mode, queries, pipelines, samples, wall):
@@ -369,10 +377,17 @@ def bench_shm_document(
 
     ``context`` works as in :func:`bench_cold_document`, with
     ``bench="shm"`` — committed baselines carry ``rerun_sizes`` so
-    ``repro obs-diff`` can rerun the small rows on any machine (the
-    10^7–10^8 rows are machine-scale measurements; a rerun reports them
-    as missing rather than failing).
+    ``repro obs-diff`` can rerun the small rows on any machine.  Rows at
+    other sizes (the 10^7–10^8 machine-scale measurements) declare why
+    a rerun skips them, so the diff reports them as unmatched rather
+    than unchecked.
     """
+    sizes = context.get("rerun_sizes")
+    if sizes is not None:
+        rows = [
+            row if row.get("n") in sizes else {**row, RERUN_EXEMPT: SHM_SCALE_EXEMPT}
+            for row in rows
+        ]
     return _bench_result(
         rows,
         name=name,

@@ -22,6 +22,7 @@ from repro.access.codes import LARGE, UNENCODED, CodeMemo, code_dtype
 from repro.access.weighted_sampler import AliasTable, WeightedSampler
 from repro.faults import FaultPlan, FaultyAccess
 from repro.knapsack.instance import KnapsackInstance
+from repro.knapsack.items import efficiency
 from repro.reproducible.domains import EfficiencyDomain
 
 EPS_SQ = 0.01
@@ -255,6 +256,44 @@ def test_empty_block_has_no_codes():
     block = WeightedSampler(inst).sample_block(0, np.random.default_rng(0))
     assert block.small_codes(EPS_SQ, DOMAIN).size == 0
     assert block.profits.size == 0
+
+
+EDGE_PROFITS = {
+    "empty": [0.005, 0.5],  # drawn 0 times
+    "all_large": [0.02, 0.5, 0.3, np.nextafter(EPS_SQ, 1)],
+    "all_small": [EPS_SQ, 0.004, 1e-9, 0.0, 0.009],
+}
+
+
+@pytest.mark.parametrize("prefill", ["unseen", "empty", "partial", "full"])
+@pytest.mark.parametrize("kind", sorted(EDGE_PROFITS))
+def test_small_codes_edge_blocks(kind, prefill):
+    """Blocks with no draws, no small draws or only small draws give the
+    codes a plain block gives, in draw order and of the same dtype,
+    whatever the memo already holds."""
+    profits = EDGE_PROFITS[kind]
+    weights = [1.0, 0.0, 1e-4, 2.0, 1e6][: len(profits)]
+    inst = KnapsackInstance(profits, weights, 1e6, normalize=False)
+    sampler = WeightedSampler(inst)
+    if prefill != "unseen":
+        memo = memo_of(sampler.table, inst)
+        if prefill == "partial":
+            memo.lookup(np.array([0, len(profits) - 1]))
+        elif prefill == "full":
+            memo.lookup(np.arange(inst.n))
+    draws = 0 if kind == "empty" else 300
+    block = sampler.sample_block(draws, np.random.default_rng(11))
+    got = block.small_codes(EPS_SQ, DOMAIN)
+    want = column_codes(inst, block.indices)
+    assert got.dtype == want.dtype == code_dtype(DOMAIN.size)
+    assert got.tolist() == want.tolist()
+    in_draw_order = [
+        DOMAIN.encode(efficiency(inst.profits[i], inst.weights[i]))
+        for i in block.indices.tolist()
+        if inst.profits[i] <= EPS_SQ
+    ]
+    assert got.tolist() == in_draw_order
+    assert got.size == {"empty": 0, "all_large": 0, "all_small": draws}[kind]
 
 
 @pytest.mark.parametrize("attr", ["indices", "profits", "weights"])

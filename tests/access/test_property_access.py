@@ -44,6 +44,60 @@ def test_alias_table_frequencies_property(probs):
     assert np.allclose(freq, target, atol=0.02)
 
 
+def _reference_draws(prob, alias, m, rng):
+    """The alias rule one draw at a time, over streams drawn the way
+    ``draw_many`` draws them: all ``integers``, then all ``random``."""
+    idx = rng.integers(prob.size, size=m)
+    coin = rng.random(m)
+    return [i if c < prob[i] else int(alias[i]) for i, c in zip(idx.tolist(), coin.tolist())]
+
+
+def _read_only(column):
+    view = column.view()
+    view.setflags(write=False)
+    return view
+
+
+TABLES = st.one_of(
+    # Zero-probability entries and n=1 included.
+    st.lists(
+        st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+        min_size=1,
+        max_size=30,
+    ).filter(lambda ps: sum(ps) > 0),
+    # All-equal: every entry keeps its own index, no draw moves.
+    st.integers(min_value=1, max_value=30).map(lambda n: [1.0] * n),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    probs=TABLES,
+    m=st.one_of(st.sampled_from([0, 1, 2]), st.integers(min_value=0, max_value=400)),
+    adopted=st.booleans(),
+    rng_seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_draw_many_follows_the_alias_rule(probs, m, adopted, rng_seed):
+    """``draw_many`` equals the per-draw alias rule bit for bit, leaves
+    the generator where the reference leaves it, and returns a fresh
+    int64 array: it never writes into a table column.  Adopted tables
+    run over read-only column views, as the shared tier's do."""
+    table = AliasTable(probs)
+    if adopted:
+        table = AliasTable.from_arrays(_read_only(table.prob), _read_only(table.alias))
+    prob_before, alias_before = table.prob.copy(), table.alias.copy()
+    rng, ref_rng = np.random.default_rng(rng_seed), np.random.default_rng(rng_seed)
+    out = table.draw_many(m, rng)
+    assert out.tolist() == _reference_draws(table.prob, table.alias, m, ref_rng)
+    assert rng.random() == ref_rng.random()
+    assert out.dtype == np.int64 and out.shape == (m,)
+    assert out.flags.writeable
+    assert not np.shares_memory(out, table.prob)
+    assert not np.shares_memory(out, table.alias)
+    assert table.prob.tolist() == prob_before.tolist()
+    assert table.alias.tolist() == alias_before.tolist()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(min_value=-(2**40), max_value=2**40),

@@ -4,7 +4,7 @@ Small virtual-clock sweeps keep these fast; they pin the contract the
 CI ``load-smoke`` job relies on: byte-identical virtual documents, a
 schema-valid artifact, a candidate-less ``obs-diff`` that rebuilds the
 run from the baseline's own context block, and a nonzero exit on a
-doctored tail.
+doctored tail or on a baseline row the rerun left unchecked.
 """
 
 import json
@@ -70,6 +70,27 @@ class TestObsDiffLoadPath:
         doctored.write_text(json.dumps(doc))
         assert main(["obs-diff", str(baseline), str(doctored)]) == 1
         assert "regression" in capsys.readouterr().out
+
+    def test_baseline_row_the_rerun_lacks_fails_unless_declared(
+        self, tmp_path, capsys
+    ):
+        baseline = run_loadgen(tmp_path, "base.json")
+        doc = json.loads(baseline.read_text())
+        extra = dict(doc["rows"][0], rate=999.0)
+        doc["rows"].append(extra)
+        doctored = tmp_path / "extra_row.json"
+        doctored.write_text(json.dumps(doc))
+        assert main(["obs-diff", str(doctored)]) == 1
+        out = capsys.readouterr().out
+        assert "UNCHECKED" in out
+        assert "2 rows compared, 1 unmatched: 1 unchecked" in out
+        assert out.rstrip().endswith("FAIL")
+        extra["rerun_exempt"] = "hand-made row"
+        doctored.write_text(json.dumps(doc))
+        assert main(["obs-diff", str(doctored)]) == 0
+        out = capsys.readouterr().out
+        assert "(not rerun: hand-made row)" in out
+        assert "2 rows compared, 1 unmatched: 0 unchecked" in out
 
     def test_explicit_fresh_load_flag(self, tmp_path, capsys):
         baseline = run_loadgen(tmp_path, "base.json")

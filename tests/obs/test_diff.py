@@ -110,6 +110,38 @@ class TestDiffDocuments:
         assert any("object_path" in m for m in out["rows_missing"])
         assert any("(candidate only)" in m for m in out["rows_missing"])
 
+    def test_unmatched_baseline_row_fails_the_diff(self):
+        # A baseline row nothing checked is not a pass.
+        base = bench_doc([row(mode="object_path"), row(mode="block_path")])
+        cand = bench_doc([row(mode="block_path")])
+        out = diff_documents(base, cand)
+        assert out["rows_unchecked"] == ["object_path"]
+        assert out["regressions"] == out["drifts"] == 0
+        assert out["ok"] is False
+        validate_bench_diff(out)
+
+    def test_a_declared_row_may_go_unmatched(self):
+        why = "wall-clock row; the context reruns the virtual sweep"
+        base = bench_doc([row(mode="object_path", rerun_exempt=why), row()])
+        out = diff_documents(base, bench_doc([row()]))
+        assert out["rows_missing"] == ["object_path"]
+        assert out["rows_exempt"] == {"object_path": why}
+        assert out["rows_unchecked"] == []
+        assert out["ok"] is True
+        validate_bench_diff(out)
+
+    def test_a_declared_row_that_matches_is_still_compared(self):
+        base = bench_doc([row(rerun_exempt="wall clock", samples=1000)])
+        cand = bench_doc([row(samples=999)])
+        out = diff_documents(base, cand)
+        assert out["rows_compared"] == 1 and out["rows_exempt"] == {}
+        assert out["drifts"] == 1 and out["ok"] is False
+
+    def test_candidate_only_rows_never_fail(self):
+        out = diff_documents(bench_doc([row()]), bench_doc([row(), row(mode="x")]))
+        assert out["rows_missing"] == ["x (candidate only)"]
+        assert out["rows_unchecked"] == [] and out["ok"] is True
+
     def test_rows_keyed_by_mode_n_family(self):
         base = bench_doc([row(n=1000, family="uniform")])
         cand = bench_doc([row(n=2000, family="uniform")])

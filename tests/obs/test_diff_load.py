@@ -7,8 +7,13 @@ millisecond-scaled absolute floor, and ``availability`` survives
 ``relative_only`` because it is dimensionless.
 """
 
-from repro.obs.diff import diff_documents
+import json
+import pathlib
+
+from repro.obs.diff import RERUN_EXEMPT, diff_documents
 from repro.obs.schema import validate_bench_diff
+
+_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
 def load_doc(rows, name="load_latency"):
@@ -117,3 +122,32 @@ class TestLoadMetrics:
         out = diff_documents(doc, doc, relative_only=False)
         assert out["ok"] and out["rows_compared"] == 3
         validate_bench_diff(out)
+
+
+class TestCommittedDeclarations:
+    def test_every_load_row_a_rerun_skips_says_why(self):
+        # The context rerun is the virtual sweep alone: the committed
+        # wall rows must carry their reason, or the gate fails.
+        doc = json.loads((_ROOT / "BENCH_load.json").read_text())
+        virtual = dict(doc, rows=[r for r in doc["rows"] if r["clock"] == "virtual"])
+        out = diff_documents(doc, virtual)
+        assert out["rows_unchecked"] == []
+        assert len(out["rows_exempt"]) == 4 and out["ok"] is True
+        validate_bench_diff(out)
+
+    def test_shm_rows_outside_the_rerun_sizes_declare_it(self):
+        from repro.serve.bench import bench_shm_document
+
+        rows = [
+            {"mode": "process_shm", "n": n, "queries": 32, "samples": 10,
+             "wall_clock_s": 0.1}
+            for n in (20_000, 10_000_000)
+        ]
+        doc = bench_shm_document(rows, rerun_sizes=[20_000])
+        assert [RERUN_EXEMPT in r for r in doc["rows"]] == [False, True]
+        rerun = bench_shm_document(rows[:1], rerun_sizes=[20_000])
+        assert diff_documents(doc, rerun)["ok"] is True
+        committed = json.loads((_ROOT / "BENCH_shm.json").read_text())
+        sizes = committed["context"]["rerun_sizes"]
+        small = dict(committed, rows=[r for r in committed["rows"] if r["n"] in sizes])
+        assert diff_documents(committed, small, relative_only=True)["ok"] is True

@@ -305,7 +305,9 @@ _BASES = {
         "abs_floor_s": 0.001,
         "relative_only": False,
         "rows_compared": 2,
-        "rows_missing": [],
+        "rows_missing": ["r3", "r4 (candidate only)"],
+        "rows_exempt": {"r3": "wall clock"},
+        "rows_unchecked": [],
         "findings": [
             {"row": "r1", "metric": "p50", "status": "ok"},
             {"row": "r2", "metric": "p99", "status": "improvement"},
@@ -344,7 +346,7 @@ _BASES = {
         "schema": "bench-result/v1",
         "name": "E0",
         "title": "t",
-        "rows": [{"a": 1}],
+        "rows": [{"a": 1, "rerun_exempt": "machine-scale row"}],
         "wall_clock_s": 0.5,
         "total_queries": 3,
         "total_samples": 10,
@@ -429,6 +431,7 @@ DOCTORED = [
     ("bench-load", put(0.5, "rows", 0, "availability"), "rows[0].availability"),
     ("bench-load", put("sundial", "rows", 0, "clock"), "rows[0].clock"),
     ("bench-load", put(5, "rows", 0, "arrival"), "rows[0].arrival"),
+    ("bench-load", put("", "rows", 0, "rerun_exempt"), "rows[0].rerun_exempt"),
     ("bench-load", drop("rows", 0, "p99_latency_ms"), "rows[0].p99_latency_ms"),
     ("bench-load", put(-1.0, "rows", 0, "p50_queueing_ms"),
      "rows[0].p50_queueing_ms"),
@@ -578,6 +581,12 @@ DOCTORED = [
     ("bench-diff", put("no", "relative_only"), "relative_only"),
     ("bench-diff", put(2.0, "rows_compared"), "rows_compared"),
     ("bench-diff", put({}, "rows_missing"), "rows_missing"),
+    ("bench-diff", drop("rows_unchecked"), "rows_unchecked"),
+    ("bench-diff", put(["r9"], "rows_unchecked"), "rows_unchecked"),
+    ("bench-diff", put(["r3"], "rows_unchecked"), "ok"),
+    ("bench-diff", put([], "rows_exempt"), "rows_exempt"),
+    ("bench-diff", put(5, "rows_exempt", "r3"), "rows_exempt['r3']"),
+    ("bench-diff", put({"r9": "wall clock"}, "rows_exempt"), "rows_exempt"),
     ("bench-diff", put({}, "findings"), "findings"),
     ("bench-diff", put(0, "findings", 0), "findings[0]"),
     ("bench-diff", drop("findings", 0, "row"), "findings[0].row"),
@@ -636,6 +645,8 @@ DOCTORED = [
     ("metrics", drop("histograms", "h", "p99"), "histograms['h'].p99"),
     ("bench-result", put("bench-result/v0", "schema"), "schema"),
     ("bench-result", put([1], "rows"), "rows[0]"),
+    ("bench-result", put(5, "rows", 0, "rerun_exempt"), "rows[0].rerun_exempt"),
+    ("bench-result", put(" ", "rows", 0, "rerun_exempt"), "rows[0].rerun_exempt"),
     ("bench-result", drop("wall_clock_s"), "wall_clock_s"),
     ("bench-result", put(1.5, "total_samples"), "total_samples"),
     ("bench-observability", put([], "experiments"), "experiments"),
