@@ -226,6 +226,15 @@ class KnapsackInstance:
         """The weight limit K."""
         return self._capacity
 
+    @property
+    def slack(self) -> float:
+        """Rounding allowance of the solvers' fit test ``w <= K + slack``.
+
+        Proportional to ``K``, so scaling every weight and the capacity
+        by one factor never changes which sets fit.
+        """
+        return 1e-12 * self._capacity
+
     def profit(self, i: int) -> float:
         """Profit of item ``i`` (0-based, bounds-checked)."""
         self._check_index(i)
@@ -308,14 +317,17 @@ class KnapsackInstance:
         """True iff the set is feasible and no absent item can be added.
 
         This is the relaxation Theorem 3.4 studies: maximality regardless
-        of profit.
+        of profit.  ``tol`` is how far the set may overflow and still
+        count as feasible; an absent item can be added when it passes the
+        solvers' fit test against :attr:`slack`.
         """
         chosen = set(self._as_index_array(indices).tolist())
-        remaining = self._capacity + tol - self.weight_of(chosen)
-        if remaining < -2 * tol:
+        weight = self.weight_of(chosen)
+        if self._capacity + tol - weight < -2 * tol:
             return False
+        room = self._capacity + self.slack - weight
         for i in range(self.n):
-            if i not in chosen and self._weights[i] <= remaining:
+            if i not in chosen and self._weights[i] <= room:
                 return False
         return True
 

@@ -58,7 +58,7 @@ class ReducedInstance:
 
 def remove_overweight(instance: KnapsackInstance) -> ReducedInstance:
     """Drop items with weight above the capacity (never packable)."""
-    keep = [i for i in range(instance.n) if instance.weight(i) <= instance.capacity + 1e-12]
+    keep = [i for i in range(instance.n) if instance.weight(i) <= instance.capacity + instance.slack]
     return _build(instance, keep, forced=frozenset())
 
 

@@ -38,6 +38,7 @@ def branch_and_bound(
     profits = instance.profits[order]
     weights = instance.weights[order]
     capacity = instance.capacity
+    slack = instance.slack
     n = instance.n
 
     # Suffix arrays for the fractional bound: from position k onward,
@@ -88,7 +89,7 @@ def branch_and_bound(
             return
         w = weights[pos]
         # Include branch first (greedy order makes it the promising one).
-        if w <= remaining + 1e-12:
+        if w <= remaining + slack:
             current.append(pos)
             dfs(pos + 1, remaining - w, value + profits[pos])
             current.pop()

@@ -31,7 +31,7 @@ def fptas(instance: KnapsackInstance, epsilon: float = 0.1) -> SolverResult:
     n = instance.n
     # Only items that fit at all can be in any solution; the largest
     # fitting profit calibrates the rounding unit.
-    fitting = np.nonzero(instance.weights <= instance.capacity + 1e-12)[0]
+    fitting = np.nonzero(instance.weights <= instance.capacity + instance.slack)[0]
     if fitting.size == 0:
         return SolverResult.from_indices(
             instance, (), solver="fptas", meta={"mu": 0.0, "epsilon": epsilon}

@@ -44,7 +44,7 @@ def fractional_optimum(instance: KnapsackInstance) -> FractionalSolution:
         i = int(idx)
         w = instance.weight(i)
         p = instance.profit(i)
-        if w <= remaining + 1e-12:
+        if w <= remaining + instance.slack:
             full.append(i)
             remaining -= w
             value += p

@@ -65,7 +65,7 @@ def prefix_greedy(instance: KnapsackInstance) -> SolverResult:
     first_rejected: int | None = None
     for pos, idx in enumerate(order):
         w = instance.weight(int(idx))
-        if w <= remaining + 1e-12:
+        if w <= remaining + instance.slack:
             chosen.append(int(idx))
             remaining -= w
         else:
@@ -99,7 +99,7 @@ def skipping_greedy(instance: KnapsackInstance) -> SolverResult:
     skipped = 0
     for idx in order:
         w = instance.weight(int(idx))
-        if w <= remaining + 1e-12:
+        if w <= remaining + instance.slack:
             chosen.append(int(idx))
             remaining -= w
         else:

@@ -31,7 +31,7 @@ def _enumerate_half(instance: KnapsackInstance, indices: list[int]):
     for r in range(len(indices) + 1):
         for combo in combinations(indices, r):
             w = instance.weight_of(combo)
-            if w <= instance.capacity + 1e-12:
+            if w <= instance.capacity + instance.slack:
                 out.append((w, instance.profit_of(combo), combo))
     return out
 
@@ -62,7 +62,7 @@ def meet_in_middle(instance: KnapsackInstance) -> SolverResult:
     best = (-1.0, (), ())
     cap = instance.capacity
     for w, v, combo in left_sets:
-        budget = cap - w + 1e-12
+        budget = cap - w + instance.slack
         pos = bisect.bisect_right(pareto_weights, budget) - 1
         if pos < 0:
             continue

@@ -7,6 +7,7 @@ normalizations.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -100,3 +101,21 @@ def test_maximality_of_skipping_greedy(inst):
     """Skipping greedy output is always a maximal feasible solution."""
     res = skipping_greedy(inst)
     assert inst.is_maximal(res.indices)
+
+
+@pytest.mark.parametrize("sliver", [3.5e-13, 1e-12, 2e-12])
+def test_fit_test_scales_with_capacity(sliver):
+    """A set that overflows K by a sliver fits at every scale or at none."""
+
+    def scaled(scale):
+        return KnapsackInstance(
+            [1.0, 1.0], [scale, sliver * scale], scale, normalize=False
+        )
+
+    base = scaled(1.0)
+    for scale in (0.5, 3.0, 1000.0):
+        inst = scaled(scale)
+        assert meet_in_middle(inst).value == meet_in_middle(base).value
+        greedy = skipping_greedy(inst)
+        assert greedy.value == skipping_greedy(base).value
+        assert inst.is_maximal(greedy.indices)
