@@ -1,14 +1,12 @@
-"""E11 — Solver baselines: cross-checks and genuine microbenchmarks.
+"""Solver microbenchmarks: the classical algorithms the paper's
+analysis leans on (greedy, the 1/2-approximation, fractional
+relaxation, FPTAS, exact search), timed per call on a common workload.
 
-Unlike E1-E10 (statistical sweeps), the solver benches are classic
-pytest-benchmark timings: the classical algorithms the paper's analysis
-leans on (greedy, the 1/2-approximation, fractional relaxation, FPTAS,
-exact search), timed per call on a common workload, with agreement
-assertions as a by-product.
+Their agreement table (E11) is the ``E11_solvers`` theorem cell of
+``benchmarks/suites/theorems.json``.
 """
 
 import pytest
-from conftest import emit_json, run_once
 
 from repro.knapsack import generators as g
 from repro.knapsack.solvers import (
@@ -60,48 +58,3 @@ def test_branch_and_bound_speed(benchmark, small_instance):
 def test_meet_in_middle_speed(benchmark, small_instance):
     result = benchmark(meet_in_middle, small_instance)
     assert result.exact
-
-
-def test_solver_agreement_table(benchmark, small_instance):
-    """One summary table: every solver's value on the same instance."""
-
-    def run():
-        inst = small_instance
-        opt = solve_exact(inst).value
-        rows = []
-        for name, fn in (
-            ("prefix_greedy", prefix_greedy),
-            ("half_approximation", half_approximation),
-            ("fptas(0.1)", lambda i: fptas(i, 0.1)),
-            ("branch_and_bound", branch_and_bound),
-            ("meet_in_middle", meet_in_middle),
-        ):
-            res = fn(inst)
-            rows.append(
-                {
-                    "solver": name,
-                    "value": res.value,
-                    "ratio_to_opt": res.value / opt,
-                    "items": len(res.indices),
-                    "exact": res.exact,
-                }
-            )
-        rows.append(
-            {
-                "solver": "fractional_bound",
-                "value": fractional_upper_bound(inst),
-                "ratio_to_opt": fractional_upper_bound(inst) / opt,
-                "items": -1,
-                "exact": False,
-            }
-        )
-        return rows
-
-    rows = run_once(benchmark, run)
-    emit_json("E11_solvers", rows, "E11: solver agreement on uniform n=26")
-    by = {r["solver"]: r for r in rows}
-    assert by["branch_and_bound"]["value"] == pytest.approx(
-        by["meet_in_middle"]["value"]
-    )
-    assert by["half_approximation"]["ratio_to_opt"] >= 0.5
-    assert by["fractional_bound"]["ratio_to_opt"] >= 1.0

@@ -1,17 +1,14 @@
-"""Shared plumbing for the benchmark suite.
+"""Shared plumbing for the wall-clock benches.
 
-Each bench runs one DESIGN.md experiment (E1-E11) exactly once under
-pytest-benchmark (the experiments are statistical sweeps, not
-microbenchmarks — wall-clock is reported for orientation, the payload
-is the printed table).  Tables are written to
-``benchmarks/results/<name>.txt`` so EXPERIMENTS.md can quote them
-verbatim without relying on captured stdout; :func:`emit_json`
-additionally writes a machine-readable ``bench-result/v1`` document to
-``benchmarks/results/<name>.json`` and rolls the run's telemetry
-(wall-clock, oracle queries, weighted samples, batch-size histogram)
-into the top-level ``BENCH_observability.json`` summary
-(``bench-observability/v1``) — the perf trajectory the ROADMAP's
-scaling PRs measure themselves against.
+The paper's experiments (E1-E15) are ``theorem`` cells of
+``benchmarks/suites/theorems.json``, run by ``repro suite``; what is
+left here are timings.  Each bench runs once under pytest-benchmark and
+writes its table to ``benchmarks/results/<name>.txt``;
+:func:`emit_json` also writes a machine-readable ``bench-result/v1``
+document to ``benchmarks/results/<name>.json`` and rolls the run's
+telemetry (wall-clock, oracle queries, weighted samples, batch-size
+histogram) into the top-level ``BENCH_observability.json`` summary
+(``bench-observability/v1``).
 """
 
 from __future__ import annotations
@@ -19,8 +16,6 @@ from __future__ import annotations
 import json
 import pathlib
 import time
-
-import pytest
 
 from repro.analysis.tables import format_row_dicts
 from repro.obs.export import jsonable, write_json
@@ -61,29 +56,23 @@ def run_once(benchmark, fn, *args, **kwargs):
     return result
 
 
-def emit(name: str, rows, title: str) -> str:
-    """Render, print and persist an experiment table."""
+def emit_json(name: str, rows, title: str, extra_entry: dict | None = None) -> str:
+    """Render, print and persist an experiment table, plus telemetry.
+
+    Writes ``results/<name>.txt``, ``results/<name>.json``
+    (``bench-result/v1``) and merges this experiment's entry into the
+    top-level ``BENCH_observability.json`` (``bench-observability/v1``).
+    Resource numbers, the batch-size histogram included, come from the
+    last :func:`run_once` call: they cover that run only, so its
+    histogram's ``sum`` equals its ``total_samples`` (which
+    ``validate_bench_observability`` enforces).  ``extra_entry`` adds
+    extra keys to the summary entry (e.g. the ``sampler_overhead``
+    verdict block, whose arithmetic the validator also enforces).
+    """
     table = format_row_dicts(rows, title=title)
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(table + "\n")
     print("\n" + table)
-    return table
-
-
-def emit_json(name: str, rows, title: str, extra_entry: dict | None = None) -> str:
-    """Like :func:`emit`, plus machine-readable telemetry.
-
-    Writes ``results/<name>.json`` (``bench-result/v1``) and merges this
-    experiment's entry into the top-level ``BENCH_observability.json``
-    (``bench-observability/v1``).  Resource numbers, the batch-size
-    histogram included, come from the last :func:`run_once` call: they
-    cover that run only, so its histogram's ``sum`` equals its
-    ``total_samples`` (which ``validate_bench_observability`` enforces).
-    ``extra_entry`` adds extra keys to the summary entry (e.g. the
-    ``sampler_overhead`` verdict block, whose arithmetic the validator
-    also enforces).
-    """
-    table = emit(name, rows, title)
     document = {
         "schema": "bench-result/v1",
         "name": name,
@@ -115,10 +104,3 @@ def emit_json(name: str, rows, title: str, extra_entry: dict | None = None) -> s
         summary["experiments"][name].update(jsonable(extra_entry))
     write_json(SUMMARY_PATH, summary)
     return table
-
-
-@pytest.fixture(scope="session")
-def results_dir() -> pathlib.Path:
-    """Where the rendered tables land."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR

@@ -1,8 +1,8 @@
 """ASCII table rendering for benchmark output.
 
-The paper has no tables of its own; the benches print their measured
-counterparts of each theorem in a uniform tabular format so that
-EXPERIMENTS.md can quote them verbatim.
+The paper has no tables of its own; ``repro report`` renders the
+measured counterpart of each theorem (a theorem cell's rows) in a
+uniform tabular format so that EXPERIMENTS.md can quote it verbatim.
 """
 
 from __future__ import annotations

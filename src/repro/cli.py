@@ -32,7 +32,8 @@ Subcommands
                 missed or brownout buys nothing);
 ``suite``       run a declarative scenario matrix (or rerun a previous
                 report from its embedded config), write a
-                suite-report/v1 document;
+                suite-report/v1 document; ``benchmarks/suites/
+                theorems.json`` runs the paper's experiments E1-E15;
 ``bench``       measure serving throughput, write BENCH_serve.json;
 ``bench-cold``  measure cold-pipeline latency (columnar vs object path),
                 write BENCH_cold.json; ``--sweep`` adds an n-axis sweep;
@@ -43,8 +44,8 @@ Subcommands
                 orphaned segments (non-zero exit when any are found);
 ``chaos``       run a seeded fault-injection sweep, assert availability,
                 write a deterministic chaos-report/v1 document;
-``experiment``  run one of the E1-E11 experiments and print its table;
-``report``      run the whole experiment suite, write a markdown report;
+``report``      render the theorem cells of a suite report as the
+                tables EXPERIMENTS.md quotes (runs nothing);
 ``demo``        the Figure 1 reduction, walked end to end;
 ``families``    list the workload generator families.
 
@@ -64,7 +65,6 @@ import numpy as np
 from . import __version__
 from .access.oracle import QueryOracle
 from .access.weighted_sampler import WeightedSampler
-from .analysis import experiments as exps
 from .analysis.tables import format_row_dicts, format_table
 from .core.lca_kp import LCAKP
 from .core.parameters import LCAParameters
@@ -78,22 +78,6 @@ from .knapsack.solvers import (
 )
 from .lowerbounds.or_reduction import BitOracle, ORReduction
 from .obs.context import CHAOS_DEFAULTS, LOAD_DEFAULTS, OVERLOAD_DEFAULTS
-
-EXPERIMENTS = {
-    "thm32": exps.exp_thm32_or_lower_bound,
-    "thm33": exps.exp_thm33_approx_lower_bound,
-    "thm34": exps.exp_thm34_maximal_lower_bound,
-    "thm41-approx": exps.exp_thm41_approximation,
-    "thm41-consistency": exps.exp_thm41_consistency,
-    "thm41-scaling": exps.exp_thm41_query_scaling,
-    "thm41-epsilon": exps.exp_thm41_epsilon_scaling,
-    "footnote3": exps.exp_footnote3_query_scaling,
-    "lemma42": exps.exp_lemma42_coupon,
-    "rquantile": exps.exp_rquantile_reproducibility,
-    "iky": exps.exp_iky_value,
-    "ablation-bits": exps.exp_ablation_domain_bits,
-}
-
 
 def _number_list(kind):
     """An argparse ``type=`` for a comma-separated list of numbers.
@@ -569,19 +553,16 @@ def _build_parser() -> argparse.ArgumentParser:
         help="absolute excursion floor in seconds (sub-floor jitter never regresses)",
     )
 
-    p = sub.add_parser("experiment", help="run a DESIGN.md experiment")
-    p.add_argument("name", choices=sorted(EXPERIMENTS))
+    p = sub.add_parser(
+        "report",
+        help="render each theorem cell of a suite-report/v1 document as its "
+        "table (runs nothing)",
+    )
+    p.add_argument("document", help="a suite-report/v1 document with theorem cells")
     p.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="also write the result rows as JSON to PATH",
+        "--out", metavar="DIR", default=None,
+        help="write each table to DIR/<cell id>.txt (default: print them)",
     )
-
-    p = _verb(
-        sub, "report", "run the whole experiment suite and write a markdown report", "out"
-    )
-    p.add_argument("--scale", default="smoke", choices=("smoke", "full"))
 
     sub.add_parser("demo", help="walk the Figure 1 reduction end to end")
     sub.add_parser("families", help="list instance generator families")
@@ -1604,8 +1585,8 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         {
             "id": c["id"],
             "kind": c["kind"],
-            "family": c["family"],
-            "n": c["n"],
+            "family": c.get("family", "-"),
+            "n": c.get("n", "-"),
             "outcome": c["outcome"],
             "checks": f"{sum(1 for ch in c['checks'] if ch['ok'])}"
             f"/{len(c['checks'])}",
@@ -1635,28 +1616,46 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     return 0 if doc["ok"] else 1
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    rows = EXPERIMENTS[args.name]()
-    print(format_row_dicts(rows, title=f"experiment {args.name}"))
-    if args.json:
-        import json
-
-        with open(args.json, "w") as fh:
-            json.dump(rows, fh, indent=2, default=str)
-        print(f"\nwrote {len(rows)} rows to {args.json}")
-    return 0
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
-    from .analysis.report import generate_report
+    import json
+    import pathlib
 
-    text = generate_report(scale=args.scale)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"wrote report to {args.out}")
-    else:
-        print(text)
+    from .obs.schema import validate_suite_report
+
+    try:
+        with open(args.document) as fh:
+            doc = json.load(fh)
+        validate_suite_report(doc)
+    except (OSError, ValueError) as exc:  # unreadable, not JSON, or invalid
+        print(f"report: {exc}", file=sys.stderr)
+        return 2
+    cells = [
+        c for c in doc["cells"] if c["kind"] == "theorem" and c["outcome"] != "error"
+    ]
+    if not cells:
+        print(f"report: {args.document} holds no theorem table", file=sys.stderr)
+        return 2
+    if args.out is not None:
+        # Cell ids come from the document and name the files written.
+        unsafe = [
+            c["id"] for c in cells
+            if "/" in c["id"] or "\\" in c["id"] or c["id"].startswith(".")
+        ]
+        if unsafe:
+            print(f"report: cell id(s) {unsafe} are not plain file names",
+                  file=sys.stderr)
+            return 2
+    for k, cell in enumerate(cells):
+        metrics = cell["metrics"]
+        rows = [{c: row[c] for c in metrics["columns"]} for row in metrics["rows"]]
+        table = format_row_dicts(rows, title=metrics["title"]) + "\n"
+        if args.out is None:
+            sys.stdout.write(("\n" if k else "") + table)
+        else:
+            target = pathlib.Path(args.out) / f"{cell['id']}.txt"
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(table)
+            print(f"wrote {target}")
     return 0
 
 
@@ -1714,7 +1713,6 @@ def main(argv: list[str] | None = None) -> int:
         "bench-shm": _cmd_bench_shm,
         "shm-stats": _cmd_shm_stats,
         "chaos": _cmd_chaos,
-        "experiment": _cmd_experiment,
         "report": _cmd_report,
         "demo": _cmd_demo,
         "families": _cmd_families,

@@ -43,12 +43,17 @@ __all__ = ["ValueEstimateFromLCA", "SolutionView"]
 
 @dataclass(frozen=True)
 class ValueEstimateFromLCA:
-    """Estimated p(C) with its confidence interval."""
+    """Estimated p(C) with its confidence interval.
+
+    ``nonce`` is the pipeline run the estimate measured (drawn from the
+    caller's ``rng``), or None when every check was its own run.
+    """
 
     estimate: float
     queries: int
     ci_low: float
     ci_high: float
+    nonce: int | None = None
 
     def half_width(self) -> float:
         """Half the CI width (the +- error bar)."""
@@ -131,10 +136,13 @@ class SolutionView:
 
         ``queries`` membership checks give a binomial proportion whose
         mean is exactly p(C); the Wilson interval quantifies the error.
+        The shared pipeline's nonce is drawn from ``rng`` too, so the
+        same ``rng`` state gives the same estimate of the same C.
         """
         if queries < 1:
             raise ReproError(f"queries must be >= 1, got {queries}")
-        pipeline = self._lca.run_pipeline(nonce=fresh_nonce()) if self._shared else None
+        nonce = int(rng.integers(2**63)) if self._shared else None
+        pipeline = None if nonce is None else self._lca.run_pipeline(nonce=nonce)
         if pipeline is not None:
             # Shared-pipeline mode: one columnar block of draws, one
             # vectorized decision pass — no per-draw Python objects.
@@ -154,4 +162,5 @@ class SolutionView:
             queries=queries,
             ci_low=lo,
             ci_high=hi,
+            nonce=nonce,
         )

@@ -803,6 +803,18 @@ _SUMMARY_COUNTS = {"passed": "pass", "failed": "fail",
                    "expected_failures": "expected_failure", "errors": "error"}
 
 
+def _theorem_table(metrics: dict, problems: list[str], where: str) -> None:
+    """A theorem cell's table, as ``repro report`` renders it: a title,
+    the column order, and rows that each hold every column."""
+    _require(metrics, "title", str, problems, where)
+    columns = metrics["columns"] if _require(
+        metrics, "columns", list, problems, where) else []
+    for row_where, row in _objects(metrics, "rows", problems, where):
+        missing = [c for c in columns if c not in row]
+        if missing:
+            problems.append(f"{row_where[:-1]} lacks column(s) {missing}")
+
+
 def validate_suite_report(doc: dict) -> dict:
     """Validate a ``suite-report/v1`` document (scenario-matrix run).
 
@@ -835,7 +847,9 @@ def validate_suite_report(doc: dict) -> dict:
                              choices=CELL_EXPECTS)
         outcome_ok = _require(cell, "outcome", str, problems, where,
                               choices=_CELL_OUTCOMES)
-        _require(cell, "metrics", dict, problems, where)
+        if _require(cell, "metrics", dict, problems, where) \
+                and cell.get("kind") == "theorem" and cell.get("outcome") != "error":
+            _theorem_table(cell["metrics"], problems, f"{where}metrics.")
         oks = []
         for cw, check in _objects(cell, "checks", problems, where):
             _require(check, "name", str, problems, cw)

@@ -10,6 +10,9 @@ adversarial cells built on the Section 3 lower-bound families
 (``expect="budget_failure"``) are supposed to fail within their query
 budget, and the suite treats that failure as the correct outcome — a
 cell that *beats* an impossibility bound is a hard suite failure.
+A ``theorem`` cell runs one registered experiment
+(:data:`repro.analysis.experiments.EXPERIMENTS`) with its ``args`` and
+grades the rows with the registry's checks.
 
 A :class:`SuiteConfig` is the whole matrix: a name, a root seed, and a
 tuple of cells.  Both round-trip losslessly through ``to_dict`` /
@@ -21,9 +24,10 @@ REPORT.json``).
 
 from __future__ import annotations
 
+import inspect
 import json
 import pathlib
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Any, Mapping
 
 from ..errors import ReproError
@@ -39,12 +43,15 @@ __all__ = [
     "SuiteConfig",
 ]
 
-CELL_KINDS = ("approx", "load", "chaos", "adversarial", "overload", "fleet")
+CELL_KINDS = (
+    "approx", "load", "chaos", "adversarial", "overload", "fleet", "theorem"
+)
 CELL_EXPECTS = ("pass", "budget_failure")
 ORACLE_MODELS = ("ideal", "faulty", "faulty_hedged")
 EXECUTORS = ("inline", "thread", "process")
 CLOCKS = ("none", "virtual", "wall")
 THEOREMS = ("3.2", "3.3", "3.4")
+_THEOREM_FIELDS = ("id", "kind", "experiment", "args")
 
 
 @dataclass(frozen=True)
@@ -90,6 +97,9 @@ class ScenarioCell:
     # Overload axis: deadline admission + brownout comparison.
     deadline_s: float = 0.05
     overload_factor: float = 2.0
+    # Theorem axis: a registered experiment and its keyword arguments.
+    experiment: str | None = None
+    args: Mapping[str, Any] = field(default_factory=dict)
     expect: str = "pass"
     checks: Mapping[str, float] = field(default_factory=dict)
 
@@ -190,6 +200,12 @@ class ScenarioCell:
                         f"process pools; kill rate {rate} needs "
                         f"executor='process', got {self.executor!r}"
                     )
+        if self.kind == "theorem":
+            self._check_experiment()
+        elif self.experiment is not None or self.args:
+            raise ReproError(
+                f"cell {self.id!r}: only theorem cells take experiment/args"
+            )
         if self.service_workers < 0:
             raise ReproError(
                 f"cell {self.id!r}: service_workers must be >= 0, "
@@ -201,6 +217,52 @@ class ScenarioCell:
             object.__setattr__(self, "hedge_after_s", 0.002)
         if self.oracle in ("faulty", "faulty_hedged") and self.retries == 0:
             object.__setattr__(self, "retries", 3)
+
+    def _check_experiment(self) -> None:
+        """A theorem cell sets only its experiment and args, names a
+        registered experiment, and gives every argument its function
+        requires and none it does not take (matrix files are outside
+        input: a stray axis must not be silently dropped)."""
+        from ..analysis.experiments import EXPERIMENTS
+
+        stray = sorted(
+            f.name
+            for f in fields(self)
+            if f.name not in _THEOREM_FIELDS
+            and getattr(self, f.name)
+            != (f.default_factory() if f.default is MISSING else f.default)
+        )
+        if stray:
+            raise ReproError(
+                f"cell {self.id!r}: theorem cells read only "
+                f"{list(_THEOREM_FIELDS)}; got {stray} (size the experiment "
+                f"through args)"
+            )
+        if self.experiment not in EXPERIMENTS:
+            raise ReproError(
+                f"cell {self.id!r}: theorem cells need experiment in "
+                f"{sorted(EXPERIMENTS)}, got {self.experiment!r}"
+            )
+        if not isinstance(self.args, Mapping):
+            raise ReproError(
+                f"cell {self.id!r}: args must be a mapping, got {self.args!r}"
+            )
+        takes = inspect.signature(EXPERIMENTS[self.experiment].run).parameters
+        unknown = sorted(set(self.args) - set(takes))
+        if unknown:
+            raise ReproError(
+                f"cell {self.id!r}: {self.experiment} takes no argument(s) "
+                f"{unknown}; it takes {sorted(takes)}"
+            )
+        missing = sorted(
+            name
+            for name, param in takes.items()
+            if param.default is inspect.Parameter.empty and name not in self.args
+        )
+        if missing:
+            raise ReproError(
+                f"cell {self.id!r}: {self.experiment} needs argument(s) {missing}"
+            )
 
     @property
     def deterministic(self) -> bool:
@@ -226,10 +288,16 @@ class ScenarioCell:
         return cls(**payload)
 
     def to_dict(self) -> dict:
-        """The full normalized cell (every field, JSON-ready)."""
+        """The full normalized cell (every field it reads, JSON-ready).
+
+        A theorem cell reads only its id, experiment and args; the other
+        kinds never carry the theorem axis."""
         out = asdict(self)
         out["rates"] = [float(r) for r in self.rates]
         out["checks"] = dict(self.checks)
+        if self.kind == "theorem":
+            return {key: out[key] for key in _THEOREM_FIELDS}
+        del out["experiment"], out["args"]
         return out
 
 

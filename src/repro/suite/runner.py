@@ -5,10 +5,11 @@ of a :class:`~repro.suite.cells.SuiteConfig` through the subsystem the
 cell names — the core pipeline for approximation cells, independent
 service runs for fleet cells, the open-loop
 :class:`~repro.load.LoadHarness` for load cells,
-:func:`~repro.faults.chaos_sweep` for chaos cells, and the
-Section 3 closed-form strategies for adversarial cells — then grades
-each run with :mod:`repro.suite.checks` and folds the verdicts into one
-report.
+:func:`~repro.faults.chaos_sweep` for chaos cells, the
+Section 3 closed-form strategies for adversarial cells, and the
+registered experiment for theorem cells — then grades each run with
+:mod:`repro.suite.checks` (theorem cells: the registry's checks) and
+folds the verdicts into one report.
 
 Outcome arithmetic (pinned by the schema validator): a cell that
 raises is an ``error``; otherwise all checks passing yields ``pass``
@@ -61,6 +62,7 @@ _ROW_METRICS = {
         "overload_rate",
     ),
     "fleet": ("pairwise_agreement", "unanimity", "availability"),
+    "theorem": ("queries", "samples"),
 }
 
 
@@ -81,15 +83,21 @@ class CellResult:
         return self.outcome in ("pass", "expected_failure")
 
     def to_cell_dict(self) -> dict:
+        if self.cell.kind == "theorem":
+            axes = {"experiment": self.cell.experiment, "args": dict(self.cell.args)}
+        else:
+            axes = {
+                "family": self.cell.family,
+                "n": self.cell.n,
+                "epsilon": self.cell.epsilon,
+                "oracle": self.cell.oracle,
+                "executor": self.cell.executor,
+                "clock": self.cell.clock,
+            }
         out = {
             "id": self.cell.id,
             "kind": self.cell.kind,
-            "family": self.cell.family,
-            "n": self.cell.n,
-            "epsilon": self.cell.epsilon,
-            "oracle": self.cell.oracle,
-            "executor": self.cell.executor,
-            "clock": self.cell.clock,
+            **axes,
             "expect": self.cell.expect,
             "outcome": self.outcome,
             "metrics": self.metrics,
@@ -104,12 +112,9 @@ class CellResult:
     def to_row(self) -> dict:
         """The obs-diff sentinel row: ``mode="suite:<id>"`` plus the
         kind's comparable metrics, keyed like every other bench row."""
-        row = {
-            "mode": f"suite:{self.cell.id}",
-            "n": self.cell.n,
-            "family": self.cell.family,
-            "outcome": self.outcome,
-        }
+        row = {"mode": f"suite:{self.cell.id}", "outcome": self.outcome}
+        if self.cell.kind != "theorem":
+            row.update(n=self.cell.n, family=self.cell.family)
         for key in _ROW_METRICS.get(self.cell.kind, ()):
             if key in self.metrics:
                 row[key] = self.metrics[key]
@@ -224,6 +229,8 @@ class SuiteRunner:
             return self._run_overload(cell)
         if cell.kind == "fleet":
             return self._run_fleet(cell)
+        if cell.kind == "theorem":
+            return self._run_theorem(cell)
         raise ReproError(f"cell {cell.id!r}: unknown kind {cell.kind!r}")
 
     # ------------------------------------------------------------------
@@ -526,6 +533,31 @@ class SuiteRunner:
         if cell.theorem == "3.3":
             metrics["alpha"] = float(cell.alpha)
         return metrics, adversarial_checks(cell, ev)
+
+    def _run_theorem(self, cell: ScenarioCell) -> tuple[dict, list]:
+        """Run the registered experiment with the cell's arguments and
+        grade the recorded rows with the registry's checks.  The oracle
+        query and weighted-sample counts it spent are deterministic and
+        ride along as the cell's sentinel metrics."""
+        from ..analysis.experiments import EXPERIMENTS
+        from ..obs.export import jsonable
+        from ..obs.runtime import REGISTRY
+
+        experiment = EXPERIMENTS[cell.experiment]
+        queries = REGISTRY.counter("oracle.queries")
+        samples = REGISTRY.counter("sampler.samples")
+        before = queries.value, samples.value
+        rows = jsonable(experiment.run(**cell.args))
+        metrics = {
+            "title": experiment.title,
+            # Reports are written with sorted keys: the column order
+            # the table renders in is kept here.
+            "columns": list(rows[0]) if rows else [],
+            "rows": rows,
+            "queries": queries.value - before[0],
+            "samples": samples.value - before[1],
+        }
+        return metrics, experiment.checks(rows)
 
 
 def run_suite(config: SuiteConfig, *, progress=None) -> SuiteResult:

@@ -81,15 +81,22 @@ class TestSampleMembers:
 
 
 class TestValueEstimation:
-    def test_unbiased_estimate_matches_true_value(self, view_setup):
-        # The reference solution comes from a different run than the
-        # estimate's pipeline, so allow both sampling error (~3 sigma at
-        # 4000 queries) and one boundary item's worth of run-to-run drift.
-        inst, view, solution = view_setup
-        true_value = inst.profit_of(solution)
-        est = view.estimate_value(4000, np.random.default_rng(2))
+    def test_unbiased_estimate_matches_true_value(self, tiers_instance, fast_params):
+        # The estimate measures the pipeline its nonce names, so it is an
+        # exact binomial mean of that solution's value: abs=0.06 is about
+        # 8 sigma at 4000 queries.
+        lca, sampler, _ = make_lca(tiers_instance, fast_params)
+        est = SolutionView(lca, sampler).estimate_value(4000, np.random.default_rng(2))
+        solution = mapping_greedy(tiers_instance, lca.run_pipeline(nonce=est.nonce).rule)
+        true_value = tiers_instance.profit_of(solution)
         assert est.estimate == pytest.approx(true_value, abs=0.06)
         assert est.ci_low - 0.03 <= true_value <= est.ci_high + 0.03
+
+    def test_same_rng_gives_the_same_estimate(self, view_setup):
+        _, view, _ = view_setup
+        first = view.estimate_value(500, np.random.default_rng(7))
+        assert view.estimate_value(500, np.random.default_rng(7)) == first
+        assert first.nonce is not None
 
     def test_ci_narrows_with_queries(self, view_setup):
         _, view, _ = view_setup

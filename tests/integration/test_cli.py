@@ -1,7 +1,11 @@
 """Tests for the command-line interface."""
 
+import json
+import pathlib
+
 import pytest
 
+from repro.analysis.tables import format_row_dicts
 from repro.cli import main
 
 
@@ -95,24 +99,6 @@ def test_rejected_value_is_a_usage_error(argv, message, tmp_path, capsys):
     assert not (tmp_path / "out.json").exists()
 
 
-class TestExperimentCommand:
-    def test_experiment_with_json(self, capsys, tmp_path, monkeypatch):
-        # Patch in a tiny experiment so the CLI path stays fast.
-        from repro import cli
-
-        monkeypatch.setitem(
-            cli.EXPERIMENTS, "lemma42", lambda: [{"delta": 0.2, "ok": True}]
-        )
-        out_path = tmp_path / "rows.json"
-        assert main(["experiment", "lemma42", "--json", str(out_path)]) == 0
-        out = capsys.readouterr().out
-        assert "delta" in out
-        import json
-
-        rows = json.loads(out_path.read_text())
-        assert rows == [{"delta": 0.2, "ok": True}]
-
-
 class TestLcaTieBreakingFlag:
     def test_tie_breaking_flag_accepted(self, capsys):
         rc = main(
@@ -147,15 +133,77 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert "repro" in proc.stdout
 
-    def test_report_command_with_stub(self, capsys, monkeypatch, tmp_path):
-        from repro.analysis import report as report_mod
-        from repro import cli
 
-        monkeypatch.setattr(
-            report_mod,
-            "REPORT_SECTIONS",
-            [("Stub", lambda **kw: [{"v": 1}], {"smoke": {}, "full": {}})],
+class TestReportCommand:
+    ROOT = pathlib.Path(__file__).resolve().parents[2]
+
+    @staticmethod
+    def table(cell) -> str:
+        metrics = cell["metrics"]
+        rows = [{c: row[c] for c in metrics["columns"]} for row in metrics["rows"]]
+        return format_row_dicts(rows, title=metrics["title"]) + "\n"
+
+    def test_renders_every_committed_table(self, tmp_path, capsys):
+        doc = json.loads((self.ROOT / "BENCH_theorems.json").read_text())
+        assert main(["report", str(self.ROOT / "BENCH_theorems.json"),
+                     "--out", str(tmp_path)]) == 0
+        for cell in doc["cells"]:
+            rendered = (tmp_path / f"{cell['id']}.txt").read_text()
+            assert rendered == self.table(cell)
+            committed = self.ROOT / "benchmarks" / "results" / f"{cell['id']}.txt"
+            assert rendered == committed.read_text()
+
+    def test_prints_to_stdout_without_out(self, tmp_path, capsys):
+        from repro.suite import ScenarioCell, SuiteConfig, SuiteRunner
+
+        cell = ScenarioCell(
+            id="solvers", kind="theorem", experiment="E11_solvers",
+            args={"n": 10, "seed": 17},
         )
-        out_file = tmp_path / "r.md"
-        assert main(["report", "--scale", "smoke", "--out", str(out_file)]) == 0
-        assert "## Stub" in out_file.read_text()
+        doc = SuiteRunner(SuiteConfig(name="t", cells=(cell,))).run().document()
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", str(path)]) == 0
+        assert capsys.readouterr().out == self.table(doc["cells"][0])
+
+    @pytest.mark.parametrize("cell_id", ["../escaped", "sub/table", ".hidden"])
+    def test_a_cell_id_that_is_not_a_file_name_writes_nothing(
+        self, cell_id, tmp_path, capsys
+    ):
+        # Cell ids come from the document; a doctored one must not reach
+        # outside the output directory.
+        doc = json.loads((self.ROOT / "BENCH_theorems.json").read_text())
+        doc["cells"][-1]["id"] = cell_id
+        doc["rows"][-1]["mode"] = f"suite:{cell_id}"
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out" / "tables"
+        assert main(["report", str(path), "--out", str(out)]) == 2
+        assert "not plain file names" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["report.json"]
+
+    def test_a_report_without_theorem_cells_is_a_usage_error(self, tmp_path, capsys):
+        from repro.suite import ScenarioCell, SuiteConfig, SuiteRunner
+
+        cell = ScenarioCell(
+            id="adv", kind="adversarial", theorem="3.2", expect="budget_failure",
+            n=20, trials=10,
+        )
+        path = tmp_path / "report.json"
+        doc = SuiteRunner(SuiteConfig(name="t", cells=(cell,))).run().document()
+        path.write_text(json.dumps(doc))
+        assert main(["report", str(path)]) == 2
+        assert "no theorem table" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["missing.json", "BENCH_load.json"])
+    def test_an_unreadable_or_invalid_document_is_a_usage_error(self, name, capsys):
+        assert main(["report", str(self.ROOT / name)]) == 2
+        assert capsys.readouterr().err.startswith("report: ")
+
+    @pytest.mark.parametrize(
+        "argv", [["experiment", "thm32"], ["report", "--scale", "full"]]
+    )
+    def test_retired_runners_are_unknown(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2

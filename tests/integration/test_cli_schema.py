@@ -214,12 +214,8 @@ PINNED = {
         "--abs-floor-s": (0.002, None),
         "--out": (None, None),
     },
-    "experiment": {
-        "name": (None, ("ablation-bits", "footnote3", "iky", "lemma42", "rquantile", "thm32", "thm33", "thm34", "thm41-approx", "thm41-consistency", "thm41-epsilon", "thm41-scaling")),
-        "--json": (None, None),
-    },
     "report": {
-        "--scale": ("smoke", ("smoke", "full")),
+        "document": (None, None),
         "--out": (None, None),
     },
     "demo": {
@@ -266,5 +262,5 @@ def test_every_verb_keeps_its_flags_defaults_and_choices():
 
 
 def test_pinned_schema_size():
-    assert len(PINNED) == 20
-    assert sum(len(flags) for flags in PINNED.values()) == 167
+    assert len(PINNED) == 19
+    assert sum(len(flags) for flags in PINNED.values()) == 165

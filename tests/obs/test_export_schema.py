@@ -711,6 +711,12 @@ DOCTORED = [
     ("bench-diff", put({"r9": "wall clock"}, "rows_exempt"), "rows_exempt"),
     ("bench-result", put(5, "rows", 0, "rerun_exempt"), "rows[0].rerun_exempt"),
     ("bench-result", put(" ", "rows", 0, "rerun_exempt"), "rows[0].rerun_exempt"),
+    # -- a theorem cell carries the table that ``repro report`` renders
+    ("suite-report", put("theorem", "cells", 0, "kind"), "cells[0].metrics.title"),
+    ("suite-report", both(put("theorem", "cells", 0, "kind"),
+                          put({"title": "t", "columns": ["x"], "rows": [{}]},
+                              "cells", 0, "metrics")),
+     "cells[0].metrics.rows[0]"),
 ]
 
 

@@ -79,6 +79,52 @@ class TestScenarioCell:
         cell = ScenarioCell(id="c", kind="load", clock="wall", rates=(10.0,))
         assert not cell.deterministic
 
+    def test_theorem_cell_needs_a_registered_experiment(self):
+        with pytest.raises(ReproError, match="experiment in"):
+            ScenarioCell(id="c", kind="theorem", experiment="E99_unknown")
+        with pytest.raises(ReproError, match="experiment in"):
+            ScenarioCell(id="c", kind="theorem")
+
+    def test_theorem_cell_rejects_an_argument_its_function_lacks(self):
+        with pytest.raises(ReproError, match=r"no argument\(s\) \['trails'\]"):
+            ScenarioCell(
+                id="c", kind="theorem", experiment="E1_thm32",
+                args={"ns": [64], "trials": 10, "trails": 10},
+            )
+
+    def test_theorem_cell_needs_every_required_argument(self):
+        with pytest.raises(ReproError, match=r"needs argument\(s\) \['trials'\]"):
+            ScenarioCell(
+                id="c", kind="theorem", experiment="E1_thm32", args={"ns": [64]}
+            )
+
+    @pytest.mark.parametrize(
+        "stray",
+        [{"trials": 100}, {"checks": {"min_ratio": 0.9}}, {"expect": "budget_failure"}],
+    )
+    def test_theorem_cell_rejects_a_field_it_would_drop(self, stray):
+        # A typo'd axis must not silently become the default: trials
+        # belongs in args, and a theorem cell reads no checks or expect.
+        with pytest.raises(ReproError, match="theorem cells read only"):
+            ScenarioCell.from_dict(
+                {"id": "c", "kind": "theorem", "experiment": "E1_thm32",
+                 "args": {"ns": [64], "trials": 10}, **stray}
+            )
+
+    def test_only_theorem_cells_take_an_experiment(self):
+        with pytest.raises(ReproError, match="only theorem cells"):
+            ScenarioCell(id="c", kind="approx", experiment="E1_thm32")
+
+    def test_theorem_cell_round_trips_with_only_its_fields(self):
+        cell = ScenarioCell.from_dict(
+            {"id": "c", "kind": "theorem", "experiment": "E1_thm32",
+             "args": {"ns": [64], "trials": 10}}
+        )
+        out = cell.to_dict()
+        assert sorted(out) == ["args", "experiment", "id", "kind"]
+        assert ScenarioCell.from_dict(out) == cell
+        assert "experiment" not in ScenarioCell(id="c", kind="approx").to_dict()
+
     def test_from_dict_rejects_unknown_keys(self):
         # A typo'd axis must not silently become the default.
         with pytest.raises(ReproError, match="unknown key"):
@@ -147,6 +193,6 @@ class TestSuiteConfig:
         import pathlib
 
         suites = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "suites"
-        for name in ("default", "smoke"):
+        for name in ("default", "smoke", "theorems"):
             config = SuiteConfig.from_file(suites / f"{name}.json")
             assert len(config.cells) >= 3
