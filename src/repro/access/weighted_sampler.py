@@ -76,11 +76,12 @@ class AliasTable:
         total = p.sum()
         if total <= 0:
             raise OracleError("probabilities must not all be zero")
-        p = p / total
         n = p.size
-        prob, alias = self._build(p * n)
-        self._prob = prob
-        self._alias = alias
+        # The one buffer the build owns: ``p / total``, then scaled by n
+        # in place (the same two roundings as ``(p / total) * n``).
+        scaled = np.divide(p, total)
+        scaled *= n
+        self._prob, self._alias = self._build(scaled)
         self._n = n
         self._memos: dict[tuple, CodeMemo | None] = {}
 
@@ -160,40 +161,65 @@ class AliasTable:
 
     @staticmethod
     def _build(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized worklist pairing over ``scaled = p * n``."""
+        """Vectorized worklist pairing over ``scaled = p * n``.
+
+        Takes ``scaled`` over and rewrites it in place into the ``prob``
+        column, which it returns with a fresh int64 ``alias`` column.
+        Everything else it allocates is freed by the time it returns,
+        and the indices it keeps meanwhile are int32 while n < 2**31.
+        """
         n = scaled.size
-        prob = np.ones(n)
         alias = np.zeros(n, dtype=np.int64)
-        small_mask = scaled < 1.0
         # Pop order of the historical stacks: descending index.
-        smalls = np.nonzero(small_mask)[0][::-1]
-        larges = np.nonzero(~small_mask)[0][::-1]
+        order = np.arange(n - 1, -1, -1, dtype=np.int32 if n < 2**31 else np.int64)
+        in_stack = scaled[::-1] < 1.0
+        smalls = order[in_stack]
+        np.logical_not(in_stack, out=in_stack)
+        larges = order[in_stack]
+        del order, in_stack
         if smalls.size == 0 or larges.size == 0:
-            return prob, alias
-        deficit = np.cumsum(1.0 - scaled[smalls])  # D_j after j smalls
-        surplus = np.cumsum(scaled[larges] - 1.0)  # E_k after k larges
+            scaled.fill(1.0)
+            return scaled, alias
+        deficit = scaled[smalls]  # D_j after j smalls
+        np.subtract(1.0, deficit, out=deficit)
+        np.cumsum(deficit, out=deficit)
+        surplus = scaled[larges]  # E_k after k larges
+        surplus -= 1.0
+        np.cumsum(surplus, out=surplus)
         # Small j is absorbed by the first large whose cumulative surplus
-        # reaches the deficit accumulated *before* j; smalls beyond the
-        # total surplus are never absorbed and stay at prob 1 (the
+        # reaches the deficit accumulated *before* j (none for j = 0, so
+        # large 0).  Both cumsums are nondecreasing, so the absorbed
+        # smalls are a prefix in pop order and keep their scaled value as
+        # prob; the rest are never absorbed and get prob 1 (the
         # "numerical leftovers" of the loop formulation).
-        prev_deficit = np.concatenate(([0.0], deficit[:-1]))
-        consumer = np.searchsorted(surplus, prev_deficit, side="left")
-        served = consumer < larges.size
-        s_served = smalls[served]
-        prob[s_served] = scaled[s_served]
-        alias[s_served] = larges[consumer[served]]
-        # Large k demotes when some prefix deficit exceeds E_k; its
-        # residual mass at that moment is (1 + E_k) - D_j for the first
-        # such j, and its alias is the next large popped.  A demoted
-        # *last* large has no successor: it keeps prob 1 / alias 0,
-        # exactly like the loop's leftover handling.
-        first_over = np.searchsorted(deficit, surplus, side="right")
-        dem = np.nonzero(first_over < smalls.size)[0]
-        dem = dem[dem < larges.size - 1]
-        l_dem = larges[dem]
-        prob[l_dem] = (1.0 + surplus[dem]) - deficit[first_over[dem]]
-        alias[l_dem] = larges[dem + 1]
-        return prob, alias
+        served = min(
+            smalls.size, int(np.searchsorted(deficit, surplus[-1], side="right")) + 1
+        )
+        alias[smalls[0]] = larges[0]
+        consumer = np.searchsorted(surplus, deficit[: served - 1], side="left")
+        alias[smalls[1:served]] = larges[consumer]
+        del consumer
+        scaled[smalls[served:]] = 1.0
+        del smalls
+        # Large k demotes when some prefix deficit exceeds E_k, i.e. when
+        # E_k lies below the total deficit: again a prefix.  Its residual
+        # mass at that moment is (1 + E_k) - D_j for the first such j,
+        # and its alias is the next large popped.  A demoted *last* large
+        # has no successor: it keeps prob 1 / alias 0, exactly like the
+        # loop's leftover handling.
+        demoted = min(
+            larges.size - 1,
+            int(np.searchsorted(surplus, deficit[-1], side="left")),
+        )
+        first_over = np.searchsorted(deficit, surplus[:demoted], side="right")
+        residual = surplus[:demoted]
+        residual += 1.0
+        residual -= deficit[first_over]
+        del first_over, deficit
+        scaled[larges[:demoted]] = residual
+        scaled[larges[demoted:]] = 1.0
+        alias[larges[:demoted]] = larges[1 : demoted + 1]
+        return scaled, alias
 
     @staticmethod
     def _build_reference(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

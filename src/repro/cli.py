@@ -1476,18 +1476,19 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_diff(args: argparse.Namespace) -> int:
-    import json
-
     from .obs.context import RunContext
     from .obs.diff import diff_documents
-    from .obs.export import write_json
+    from .obs.export import read_json, write_json
 
-    with open(args.baseline) as fh:
-        baseline = json.load(fh)
+    try:
+        baseline = read_json(args.baseline)
+        if args.candidate is not None:
+            candidate = read_json(args.candidate)
+    except (OSError, ValueError) as exc:  # unreadable, not JSON, or not an object
+        print(f"obs-diff: {exc}", file=sys.stderr)
+        return 2
     relative_only = False
     if args.candidate is not None:
-        with open(args.candidate) as fh:
-            candidate = json.load(fh)
         cand_label = args.candidate
     else:
         # Candidate-less run: the baseline's own context block is the
@@ -1560,7 +1561,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         config = SuiteConfig.from_file(args.matrix)
         if args.filter or args.cell:
             config = config.select(pattern=args.filter, ids=args.cell)
-    except ReproError as exc:
+    except (ReproError, OSError) as exc:  # invalid, not JSON, or unreadable
         print(f"suite: {exc}", file=sys.stderr)
         return 2
     print(
@@ -1617,14 +1618,13 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    import json
     import pathlib
 
+    from .obs.export import read_json
     from .obs.schema import validate_suite_report
 
     try:
-        with open(args.document) as fh:
-            doc = json.load(fh)
+        doc = read_json(args.document)
         validate_suite_report(doc)
     except (OSError, ValueError) as exc:  # unreadable, not JSON, or invalid
         print(f"report: {exc}", file=sys.stderr)

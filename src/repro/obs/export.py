@@ -77,8 +77,20 @@ def append_jsonl(path: str | pathlib.Path, record: dict) -> pathlib.Path:
 
 
 def read_json(path: str | pathlib.Path) -> dict:
-    """Load one JSON document."""
-    return json.loads(pathlib.Path(path).read_text())
+    """Load one JSON document.
+
+    Raises ``OSError`` when the file cannot be read and ``ValueError``,
+    naming the file, when it is not JSON or its top level is not an
+    object.
+    """
+    p = pathlib.Path(path)
+    try:
+        doc = json.loads(p.read_text())
+    except ValueError as exc:
+        raise ValueError(f"{p}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{p}: the top level is not a JSON object")
+    return doc
 
 
 # ----------------------------------------------------------------------

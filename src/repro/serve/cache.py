@@ -47,17 +47,20 @@ def instance_fingerprint(instance) -> str:
     """SHA-256 fingerprint of an explicit instance's full contents.
 
     Computed once per service (O(n), amortized over every query it will
-    ever serve).  Implicit instances without materialized arrays fall
-    back to identity fingerprinting — correct (no false sharing), just
-    never shared between two wrapper objects for the same function.
+    ever serve).  A contiguous float64 column is hashed through its
+    buffer, with no copy; any other column is hashed as its C-order
+    float64 copy, so the digest is always that of the float64 bytes.
+    Implicit instances without materialized arrays fall back to
+    identity fingerprinting — correct (no false sharing), just never
+    shared between two wrapper objects for the same function.
     """
     profits = getattr(instance, "profits", None)
     weights = getattr(instance, "weights", None)
     h = hashlib.sha256()
     h.update(f"{instance.n}:{float(instance.capacity)!r}:".encode())
     if profits is not None and weights is not None:
-        h.update(np.ascontiguousarray(np.asarray(profits, dtype=float)).tobytes())
-        h.update(np.ascontiguousarray(np.asarray(weights, dtype=float)).tobytes())
+        h.update(np.ascontiguousarray(profits, dtype=float))
+        h.update(np.ascontiguousarray(weights, dtype=float))
     else:
         h.update(f"implicit:{id(instance)}".encode())
     return h.hexdigest()[:32]

@@ -31,6 +31,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Any, Mapping
 
 from ..errors import ReproError
+from ..obs.export import read_json
 
 __all__ = [
     "CELL_KINDS",
@@ -344,8 +345,10 @@ class SuiteConfig:
     def from_file(cls, path) -> "SuiteConfig":
         """Load a matrix file, or the matrix embedded in a
         ``suite-report/v1`` document (report in, same report out)."""
-        with open(path) as fh:
-            data = json.load(fh)
+        try:
+            data = read_json(path)
+        except ValueError as exc:  # not JSON, or not an object
+            raise ReproError(str(exc)) from None
         if data.get("schema") == "suite-report/v1":
             embedded = (data.get("context") or {}).get("suite")
             if not embedded:

@@ -9,6 +9,8 @@ these tests pin the pair together and check the table's defining
 reconstruction law.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.access.weighted_sampler import AliasTable, WeightedSampler
 from repro.errors import OracleError
+from repro.knapsack.generators import generate
 from repro.knapsack.instance import KnapsackInstance
 
 positive_probs = st.lists(
@@ -35,7 +38,7 @@ def _scaled(probs):
 @given(probs=positive_probs)
 def test_vectorized_build_matches_reference_bit_for_bit(probs):
     scaled = _scaled(probs)
-    prob_v, alias_v = AliasTable._build(scaled)
+    prob_v, alias_v = AliasTable._build(scaled.copy())
     prob_r, alias_r = AliasTable._build_reference(scaled)
     assert prob_v.tobytes() == prob_r.tobytes()
     assert alias_v.tobytes() == alias_r.tobytes()
@@ -61,10 +64,66 @@ def test_vectorized_build_matches_reference_structured(n, dist, seed):
     if p.sum() <= 0:
         p[0] = 1.0
     scaled = _scaled(p)
-    prob_v, alias_v = AliasTable._build(scaled)
+    prob_v, alias_v = AliasTable._build(scaled.copy())
     prob_r, alias_r = AliasTable._build_reference(scaled)
     assert prob_v.tobytes() == prob_r.tobytes()
     assert alias_v.tobytes() == alias_r.tobytes()
+
+
+@pytest.mark.parametrize(
+    "probs, branch",
+    [
+        ([0.56, 0.49, 0.86, 0.05], "unserved_small"),
+        ([0.95, 0.14, 0.95, 0.31, 0.42], "demoted_last_large"),
+        ([0.3] * 5, "all_small"),
+        ([2.0] * 4, "all_large"),
+        ([0.0, 0.0, 1e6, 0.0, 0.0, 0.0], "zeros_and_one_dominant"),
+        ([0.0, 1e-300, 0.0, 1e6, 0.0, 3.0, 0.0], "zeros_and_one_dominant"),
+    ],
+)
+def test_rare_branches_match_reference(probs, branch):
+    """Vectors that reach the branches random vectors seldom do."""
+    scaled = _scaled(probs)
+    small = scaled < 1.0
+    prob_r, alias_r = AliasTable._build_reference(scaled)
+    if branch == "unserved_small":
+        # Rounding left the deficit short of cover: a small keeps prob 1.
+        assert np.any(small & (prob_r == 1.0))
+    elif branch == "demoted_last_large":
+        # Every small is served, yet the last large ends below the total
+        # deficit and, having no successor, keeps prob 1 / alias 0.
+        smalls = np.flatnonzero(small)[::-1]  # pop order
+        larges = np.flatnonzero(~small)[::-1]
+        deficit = np.cumsum(1.0 - scaled[smalls])[-1]
+        surplus = np.cumsum(scaled[larges] - 1.0)[-1]
+        assert deficit > surplus
+        assert np.array_equal(prob_r[small], scaled[small])
+    elif branch == "all_small":
+        assert small.all()
+    elif branch == "all_large":
+        assert not small.any()
+    else:
+        assert np.count_nonzero(~small) == 1 and np.any(scaled == 0.0)
+    prob_v, alias_v = AliasTable._build(scaled.copy())
+    assert prob_v.tobytes() == prob_r.tobytes()
+    assert alias_v.tobytes() == alias_r.tobytes()
+    assert prob_v.dtype == np.float64 and alias_v.dtype == np.int64
+
+
+@pytest.mark.parametrize("family", ["uniform", "planted_lsg"])
+def test_build_peak_is_at_most_three_tables(family):
+    """Building the 16-byte-per-item table allocates at most 48 bytes
+    per item at its peak, the table included."""
+    n = 100_000
+    profits = generate(family, n, seed=0).profits
+    tracemalloc.start()
+    try:
+        table = AliasTable(profits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.prob.nbytes + table.alias.nbytes == 16 * n
+    assert peak <= 48 * n
 
 
 @settings(max_examples=60, deadline=None)

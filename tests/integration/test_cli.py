@@ -99,6 +99,26 @@ def test_rejected_value_is_a_usage_error(argv, message, tmp_path, capsys):
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("verb", ["suite", "obs-diff", "report"])
+@pytest.mark.parametrize(
+    "document", [None, "{not json", "[]"], ids=["missing", "not_json", "not_an_object"]
+)
+def test_an_unreadable_document_is_a_usage_error(verb, document, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    if document is not None:
+        path.write_text(document)
+    assert main([verb, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{verb}: ") and "Traceback" not in err
+
+
+def test_obs_diff_with_an_unreadable_candidate_is_a_usage_error(tmp_path, capsys):
+    root = pathlib.Path(__file__).resolve().parents[2]
+    missing = tmp_path / "missing.json"
+    assert main(["obs-diff", str(root / "BENCH_load.json"), str(missing)]) == 2
+    assert capsys.readouterr().err.startswith("obs-diff: ")
+
+
 class TestLcaTieBreakingFlag:
     def test_tie_breaking_flag_accepted(self, capsys):
         rc = main(

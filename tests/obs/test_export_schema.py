@@ -61,6 +61,16 @@ class TestWriters:
         p = write_json(tmp_path / "sub" / "doc.json", {"x": np.float64(1.5)})
         assert read_json(p) == {"x": 1.5}
 
+    @pytest.mark.parametrize(
+        "text, message", [("{not json", "Expecting"), ("[1]", "not a JSON object")]
+    )
+    def test_read_json_names_a_file_that_holds_no_object(self, text, message, tmp_path):
+        p = tmp_path / "doc.json"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=message) as exc:
+            read_json(p)
+        assert str(exc.value).startswith(f"{p}: ")
+
     def test_append_jsonl(self, tmp_path):
         p = tmp_path / "log.jsonl"
         append_jsonl(p, {"i": 1})

@@ -1,14 +1,19 @@
 """PipelineCache: LRU mechanics, key derivation, collision resistance."""
 
 import dataclasses
+import hashlib
 import pickle
+import tracemalloc
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.access.seeds import SeedChain
 from repro.core.parameters import LCAParameters
 from repro.errors import ReproError
 from repro.knapsack import generators
+from repro.knapsack.instance import KnapsackInstance
 from repro.serve import CacheKey, PipelineCache, instance_fingerprint
 
 
@@ -132,6 +137,72 @@ class TestCacheKeyCollisions:
         cache.put(ka, "pipeline-for-a")
         assert cache.get(kb) is None
         assert cache.get(ka) == "pipeline-for-a"
+
+
+
+def _tobytes_fingerprint(instance) -> str:
+    """The fingerprint as first written: each column copied by
+    ``tobytes()`` and then hashed."""
+    h = hashlib.sha256()
+    h.update(f"{instance.n}:{float(instance.capacity)!r}:".encode())
+    for column in (instance.profits, instance.weights):
+        h.update(np.ascontiguousarray(np.asarray(column, dtype=float)).tobytes())
+    return h.hexdigest()[:32]
+
+
+class TestFingerprintHashesInPlace:
+    """Cache keys outlive a version: the in-place digest must equal the
+    ``tobytes()`` one on every column layout an instance can carry."""
+
+    @staticmethod
+    def _columns(layout):
+        rng = np.random.default_rng(5)
+        profits = rng.random(301)
+        weights = rng.random(301)
+        if layout == "float64":
+            return KnapsackInstance(profits, weights, 40.0)
+        if layout == "integer":
+            return SimpleNamespace(
+                n=301, capacity=40,
+                profits=rng.integers(0, 9, 301, dtype=np.int32),
+                weights=rng.integers(1, 9, 301),
+            )
+        if layout == "strided":
+            return SimpleNamespace(
+                n=151, capacity=40.0, profits=profits[::2], weights=weights[::-2]
+            )
+        if layout == "read_only_view":
+            return KnapsackInstance.from_arrays_view(profits, weights, 40.0)
+        assert layout == "read_only_strided_view"
+        return KnapsackInstance.from_arrays_view(profits[::2], weights[::-2], 40.0)
+
+    @pytest.mark.parametrize(
+        "layout",
+        ["float64", "integer", "strided", "read_only_view", "read_only_strided_view"],
+    )
+    def test_digest_equals_the_tobytes_formula(self, layout):
+        instance = self._columns(layout)
+        assert instance_fingerprint(instance) == _tobytes_fingerprint(instance)
+
+    def test_digests_are_stable_across_versions(self):
+        assert (
+            instance_fingerprint(generators.uniform(50, seed=1))
+            == "6ae05dc89f1452fcd7e40ca5b6e9a768"
+        )
+        assert (
+            instance_fingerprint(generators.planted_lsg(1000, seed=3))
+            == "73fb6dae06856b6834cca5c4035ca882"
+        )
+
+    def test_float64_columns_are_hashed_without_a_copy(self):
+        instance = generators.uniform(100_000, seed=0)
+        tracemalloc.start()
+        try:
+            instance_fingerprint(instance)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class _CountingHash:

@@ -182,6 +182,15 @@ class TestSuiteConfig:
         with pytest.raises(ReproError, match="context.suite"):
             SuiteConfig.from_file(path)
 
+    @pytest.mark.parametrize(
+        "text, message", [("{not json", "Expecting"), ("[]", "not a JSON object")]
+    )
+    def test_a_file_that_is_no_json_object_is_an_error(self, text, message, tmp_path):
+        path = tmp_path / "matrix.json"
+        path.write_text(text)
+        with pytest.raises(ReproError, match=message):
+            SuiteConfig.from_file(path)
+
     def test_select_by_pattern_and_ids(self):
         config = SuiteConfig(name="s", cells=self.two_cells())
         assert [c.id for c in config.select(pattern="a").cells] == ["a"]
