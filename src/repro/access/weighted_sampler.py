@@ -55,8 +55,11 @@ class AliasTable:
     cumulative surplus covers the deficit accumulated before ``j``, and
     large ``k`` demotes (takes an alias itself) exactly when some prefix
     deficit exceeds ``E_k``, with residual probability
-    ``(1 + E_k) - D_j``.  Two ``np.searchsorted`` calls over the cumsums
-    replace the item-at-a-time stack walk.  :meth:`_build_reference` is
+    ``(1 + E_k) - D_j``.  Both cumsums are sorted, so one stable merge of
+    the two (a linear-time argsort of their concatenation) counts, for
+    every ``D_j``, the ``E_k`` below it and, for every ``E_k``, the
+    ``D_j`` at or below it: every pairing at once, in place of the
+    item-at-a-time stack walk.  :meth:`_build_reference` is
     the same arithmetic as an explicit stack loop; a property test pins
     the two bit-identical, since sampler RNG draw outcomes depend on the
     table.
@@ -165,27 +168,40 @@ class AliasTable:
 
         Takes ``scaled`` over and rewrites it in place into the ``prob``
         column, which it returns with a fresh int64 ``alias`` column.
-        Everything else it allocates is freed by the time it returns,
-        and the indices it keeps meanwhile are int32 while n < 2**31.
+        ``alias`` is allocated first, so it never sits above a freed
+        temporary in the heap and keeps that memory resident.  The
+        indices kept meanwhile are int32 while n < 2**31.
+
+        One index buffer holds the smalls, then the larges, each in pop
+        order; one float buffer gathered through it holds the deficit
+        cumsum ``D`` over the smalls, then the surplus cumsum ``E`` over
+        the larges.  Both runs are sorted, so a stable argsort of that
+        buffer is a linear merge, and on a tie it puts ``D_j`` before
+        ``E_k``.  The merged position of ``D_j`` minus ``j`` is then the
+        number of ``E_k < D_j``, and that of ``E_k`` minus ``k`` the
+        number of ``D_j <= E_k``: the two pairing counts below.
         """
         n = scaled.size
         alias = np.zeros(n, dtype=np.int64)
         # Pop order of the historical stacks: descending index.
-        order = np.arange(n - 1, -1, -1, dtype=np.int32 if n < 2**31 else np.int64)
         in_stack = scaled[::-1] < 1.0
-        smalls = order[in_stack]
-        np.logical_not(in_stack, out=in_stack)
-        larges = order[in_stack]
-        del order, in_stack
-        if smalls.size == 0 or larges.size == 0:
+        n_small = int(np.count_nonzero(in_stack))
+        if n_small == 0 or n_small == n:
             scaled.fill(1.0)
             return scaled, alias
-        deficit = scaled[smalls]  # D_j after j smalls
+        pos = np.empty(n, dtype=np.int32 if n < 2**31 else np.int64)
+        pos[:n_small] = np.flatnonzero(in_stack)
+        np.logical_not(in_stack, out=in_stack)
+        pos[n_small:] = np.flatnonzero(in_stack)
+        del in_stack
+        np.subtract(n - 1, pos, out=pos)
+        smalls, larges = pos[:n_small], pos[n_small:]
+        cat = scaled[pos]
+        deficit, surplus = cat[:n_small], cat[n_small:]
         np.subtract(1.0, deficit, out=deficit)
-        np.cumsum(deficit, out=deficit)
-        surplus = scaled[larges]  # E_k after k larges
+        np.cumsum(deficit, out=deficit)  # D_j after j smalls
         surplus -= 1.0
-        np.cumsum(surplus, out=surplus)
+        np.cumsum(surplus, out=surplus)  # E_k after k larges
         # Small j is absorbed by the first large whose cumulative surplus
         # reaches the deficit accumulated *before* j (none for j = 0, so
         # large 0).  Both cumsums are nondecreasing, so the absorbed
@@ -193,14 +209,8 @@ class AliasTable:
         # prob; the rest are never absorbed and get prob 1 (the
         # "numerical leftovers" of the loop formulation).
         served = min(
-            smalls.size, int(np.searchsorted(deficit, surplus[-1], side="right")) + 1
+            n_small, int(np.searchsorted(deficit, surplus[-1], side="right")) + 1
         )
-        alias[smalls[0]] = larges[0]
-        consumer = np.searchsorted(surplus, deficit[: served - 1], side="left")
-        alias[smalls[1:served]] = larges[consumer]
-        del consumer
-        scaled[smalls[served:]] = 1.0
-        del smalls
         # Large k demotes when some prefix deficit exceeds E_k, i.e. when
         # E_k lies below the total deficit: again a prefix.  Its residual
         # mass at that moment is (1 + E_k) - D_j for the first such j,
@@ -211,11 +221,22 @@ class AliasTable:
             larges.size - 1,
             int(np.searchsorted(surplus, deficit[-1], side="left")),
         )
-        first_over = np.searchsorted(deficit, surplus[:demoted], side="right")
+        # Whether each merged position holds a D_j (rather than an E_k).
+        from_d = np.argsort(cat, kind="stable") < n_small
+        consumer = np.flatnonzero(from_d)[: served - 1]
+        consumer -= np.arange(served - 1, dtype=pos.dtype)  # #{E_k < D_j}
+        alias[smalls[0]] = larges[0]
+        alias[smalls[1:served]] = larges[consumer]
+        del consumer
+        np.logical_not(from_d, out=from_d)
+        first_over = np.flatnonzero(from_d)[:demoted]
+        del from_d
+        first_over -= np.arange(demoted, dtype=pos.dtype)  # #{D_j <= E_k}
         residual = surplus[:demoted]
         residual += 1.0
         residual -= deficit[first_over]
-        del first_over, deficit
+        del first_over
+        scaled[smalls[served:]] = 1.0
         scaled[larges[:demoted]] = residual
         scaled[larges[demoted:]] = 1.0
         alias[larges[:demoted]] = larges[1 : demoted + 1]

@@ -105,8 +105,10 @@ class KnapsackInstance:
         normalize_weights: bool = False,
         validate: bool = True,
     ) -> None:
-        profits_arr = np.asarray(profits, dtype=float).copy()
-        weights_arr = np.asarray(weights, dtype=float).copy()
+        # A normalized column is a fresh quotient, so only a column kept
+        # as given is copied (the instance never aliases caller memory).
+        profits_arr = np.asarray(profits, dtype=float)
+        weights_arr = np.asarray(weights, dtype=float)
         if profits_arr.ndim != 1 or weights_arr.ndim != 1:
             raise InvalidInstanceError("profits and weights must be 1-D sequences")
         if profits_arr.shape != weights_arr.shape:
@@ -121,6 +123,8 @@ class KnapsackInstance:
                     "cannot normalize profits: total profit must be positive"
                 )
             profits_arr = profits_arr / total
+        else:
+            profits_arr = profits_arr.copy()
         if normalize_weights:
             total_w = float(weights_arr.sum())
             if total_w <= 0:
@@ -129,6 +133,8 @@ class KnapsackInstance:
                 )
             weights_arr = weights_arr / total_w
             capacity = float(capacity) / total_w
+        else:
+            weights_arr = weights_arr.copy()
         self._profits = profits_arr
         self._weights = weights_arr
         self._capacity = float(capacity)

@@ -79,6 +79,10 @@ def test_vectorized_build_matches_reference_structured(n, dist, seed):
         ([2.0] * 4, "all_large"),
         ([0.0, 0.0, 1e6, 0.0, 0.0, 0.0], "zeros_and_one_dominant"),
         ([0.0, 1e-300, 0.0, 1e6, 0.0, 3.0, 0.0], "zeros_and_one_dominant"),
+        ([1.0, 3.0, 1.0, 3.0], "deficit_ties_surplus"),
+        ([1.0, 1.0, 3.0, 3.0, 1.0, 3.0], "deficit_ties_surplus"),
+        ([1.0, 1.0, 1.0, 0.5, 1.5], "deficit_ties_surplus"),
+        ([3.0, 1.0, 3.0, 3.0, 1.0, 1.0, 2.0, 2.0], "deficit_ties_surplus"),
     ],
 )
 def test_rare_branches_match_reference(probs, branch):
@@ -102,12 +106,30 @@ def test_rare_branches_match_reference(probs, branch):
         assert small.all()
     elif branch == "all_large":
         assert not small.any()
+    elif branch == "deficit_ties_surplus":
+        # A cumulative deficit equals a cumulative surplus exactly, so
+        # the merge of the two runs must order the tie as the loop does.
+        deficit = np.cumsum(1.0 - scaled[np.flatnonzero(small)[::-1]])
+        surplus = np.cumsum(scaled[np.flatnonzero(~small)[::-1]] - 1.0)
+        assert np.intersect1d(deficit, surplus).size > 0
     else:
         assert np.count_nonzero(~small) == 1 and np.any(scaled == 0.0)
     prob_v, alias_v = AliasTable._build(scaled.copy())
     assert prob_v.tobytes() == prob_r.tobytes()
     assert alias_v.tobytes() == alias_r.tobytes()
     assert prob_v.dtype == np.float64 and alias_v.dtype == np.int64
+
+
+@pytest.mark.parametrize("family", ["uniform", "planted_lsg", "efficiency_tiers"])
+def test_generated_profits_match_reference(family):
+    """Bit-identity at a size where both cumsums are long runs, far past
+    the few hundred items the property tests reach."""
+    profits = generate(family, 20_000, seed=0).profits
+    scaled = _scaled(profits)
+    prob_v, alias_v = AliasTable._build(scaled.copy())
+    prob_r, alias_r = AliasTable._build_reference(scaled)
+    assert prob_v.tobytes() == prob_r.tobytes()
+    assert alias_v.tobytes() == alias_r.tobytes()
 
 
 @pytest.mark.parametrize("family", ["uniform", "planted_lsg"])

@@ -60,6 +60,24 @@ class TestConstruction:
         with pytest.raises(ValueError):
             inst.profits[0] = 9.0
 
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("normalize_weights", [True, False])
+    def test_caller_arrays_are_not_aliased(self, normalize, normalize_weights):
+        profits = np.array([2.0, 3.0, 5.0])
+        weights = np.array([0.2, 0.3, 0.5])
+        inst = KnapsackInstance(
+            profits, weights, 0.6,
+            normalize=normalize, normalize_weights=normalize_weights,
+        )
+        kept = (inst.profits.copy(), inst.weights.copy())
+        profits[:] = 7.0
+        weights[:] = 0.1
+        assert np.array_equal(inst.profits, kept[0])
+        assert np.array_equal(inst.weights, kept[1])
+        assert not np.shares_memory(inst.profits, profits)
+        assert not np.shares_memory(inst.weights, weights)
+        assert profits.flags.writeable and weights.flags.writeable
+
 
 class TestValidation:
     def test_overweight_item_rejected(self):
