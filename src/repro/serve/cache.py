@@ -47,9 +47,14 @@ def instance_fingerprint(instance) -> str:
     """SHA-256 fingerprint of an explicit instance's full contents.
 
     Computed once per service (O(n), amortized over every query it will
-    ever serve).  A contiguous float64 column is hashed through its
-    buffer, with no copy; any other column is hashed as its C-order
-    float64 copy, so the digest is always that of the float64 bytes.
+    ever serve).  :class:`~repro.serve.KnapsackService` computes it
+    beside its alias-table build (:func:`~repro.access.beside.beside`),
+    on a helper thread from 2^16 items on a multi-CPU host; hashlib
+    releases the GIL, so there its time hides behind the build's.  It
+    reads the columns only and touches no shared state.  A contiguous
+    float64 column is hashed through its buffer, with no copy; any
+    other column is hashed as its C-order float64 copy, so the digest
+    is always that of the float64 bytes.
     Implicit instances without materialized arrays fall back to
     identity fingerprinting — correct (no false sharing), just never
     shared between two wrapper objects for the same function.

@@ -54,6 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..access.beside import beside
 from ..access.oracle import QueryOracle
 from ..access.seeds import SeedChain, fresh_nonce
 from ..access.weighted_sampler import WeightedSampler
@@ -540,8 +541,13 @@ class KnapsackService:
         self._audit = ProbeAuditor(*audit_bounds) if audit_bounds else None
         # The one O(n) access build of the service: every stack below —
         # its own, each thread shard's, and the shared-memory segment —
-        # draws from this alias table, read-only.
-        raw_sampler = WeightedSampler(instance)
+        # draws from this alias table, read-only.  The cache fingerprint
+        # hashes the columns beside it (both release the GIL).
+        raw_sampler, fingerprint = beside(
+            lambda: WeightedSampler(instance),
+            lambda: instance_fingerprint(instance),
+            instance.n,
+        )
         self._table = raw_sampler.table
         spec = _StackSpec(
             epsilon=float(epsilon),
@@ -571,7 +577,7 @@ class KnapsackService:
         # The nonce-free part of every cache key, derived once: a lookup
         # only attaches its nonce (see cache_key).
         self._config_key = CacheKey.derive(
-            fingerprint=instance_fingerprint(instance),
+            fingerprint=fingerprint,
             seed=self._spec.seed,
             nonce=0,
             params=self._lca.params,

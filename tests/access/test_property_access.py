@@ -1,11 +1,16 @@
 """Property-based tests for the access layer."""
 
+import threading
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.access import beside
 from repro.access.seeds import SeedChain
 from repro.access.weighted_sampler import AliasTable
+from repro.knapsack.generators import generate
 
 
 @settings(max_examples=40, deadline=None)
@@ -96,6 +101,46 @@ def test_draw_many_follows_the_alias_rule(probs, m, adopted, rng_seed):
     assert not np.shares_memory(out, table.alias)
     assert table.prob.tolist() == prob_before.tolist()
     assert table.alias.tolist() == alias_before.tolist()
+
+
+SPLIT = beside.SPLIT_MIN_ROWS
+
+
+@pytest.fixture(scope="module")
+def planted_table():
+    return AliasTable(generate("planted_lsg", 20_000, seed=0).profits)
+
+
+@pytest.mark.parametrize("m", [SPLIT - 1, SPLIT, SPLIT + 1, 3 * SPLIT + 1])
+def test_draw_many_is_identical_split_and_inline(planted_table, monkeypatch, m):
+    """Around the split threshold (and at an odd size past it), draws
+    settled in two halves on two threads equal draws settled inline on
+    the caller and the per-draw reference, and all three leave the
+    generator in the same state.  With more than one CPU, a block at or
+    above the threshold does settle its upper half on a helper."""
+    settled_on = []
+    settle = AliasTable._settle
+
+    def recording(self, idx, coin):
+        settled_on.append(threading.get_ident())
+        settle(self, idx, coin)
+
+    monkeypatch.setattr(AliasTable, "_settle", recording)
+    table, seed = planted_table, 9000 + m
+    free_rng = np.random.default_rng(seed)
+    free = table.draw_many(m, free_rng)
+    split = len(set(settled_on)) == 2
+    settled_on.clear()
+    held_rng = np.random.default_rng(seed)
+    with beside._SLOT:
+        held = table.draw_many(m, held_rng)
+    assert set(settled_on) == {threading.get_ident()}
+    ref_rng = np.random.default_rng(seed)
+    ref = _reference_draws(table.prob, table.alias, m, ref_rng)
+    assert free.tolist() == ref
+    assert held.tobytes() == free.tobytes()
+    assert free_rng.random() == held_rng.random() == ref_rng.random()
+    assert split == (m >= SPLIT and beside._cpus() > 1)
 
 
 @settings(max_examples=60, deadline=None)

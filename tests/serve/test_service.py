@@ -2,15 +2,24 @@
 
 import dataclasses
 import pickle
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.access import beside as beside_module
+from repro.access.oracle import QueryOracle
 from repro.access.seeds import SeedChain
+from repro.access.weighted_sampler import WeightedSampler
+from repro.core.lca_kp import LCAKP
 from repro.core.simplified_instance import SimplifiedInstance
 from repro.errors import ReproError
 from repro.faults import FaultPlan
+from repro.knapsack import generators
 from repro.lca.base import LocalComputationAlgorithm
 from repro.serve import KnapsackService, PipelineCache, derive_worker_nonce
+from repro.serve import service as service_module
+from repro.serve.cache import instance_fingerprint
 
 
 @pytest.fixture()
@@ -399,3 +408,53 @@ class TestWarmPathCounts:
             assert report.cache_hits == 1 and report.stale_served == 0
         assert digests == []
         assert svc.cache.hits == 1000 and svc.cache.misses == 1
+
+
+class TestSetupAndColdDrawsBeside:
+    """The service's two uses of the helper thread: the fingerprint is
+    hashed beside the alias build, and calibrated (uncapped) cold draw
+    blocks settle in two halves.  Neither may change a key or an
+    answer."""
+
+    def test_fingerprint_beside_the_build_keys_the_cache(self, monkeypatch):
+        monkeypatch.setattr(beside_module, "_cpus", lambda: 2)
+        hashed_on = []
+
+        def recording(instance):
+            hashed_on.append(threading.get_ident())
+            return instance_fingerprint(instance)
+
+        monkeypatch.setattr(service_module, "instance_fingerprint", recording)
+        instance = generators.uniform(beside_module.SPLIT_MIN_ROWS + 1, seed=5)
+        with KnapsackService(instance, 0.1, seed=3) as svc:
+            key = svc.cache_key(9)
+        assert len(hashed_on) == 1 and hashed_on[0] != threading.get_ident()
+        assert key.instance_fingerprint == instance_fingerprint(instance)
+
+    def test_concurrent_cold_callers_get_serial_answers(self):
+        """Four callers run cold batches at once: each batch's 240,000
+        draw block may split (one caller at a time holds the helper) or
+        settle inline, and every answer equals a serial LCAKP.answer."""
+        instance = generators.planted_lsg(20_000, seed=3, epsilon=0.1)
+        indices = [0, 7, 19_999]
+        nonces = [501, 502, 503, 504, 505, 506, 507, 508]
+        with KnapsackService(instance, 0.1, seed=11, cache=False) as svc:
+            lca = LCAKP(
+                WeightedSampler(instance), QueryOracle(instance), 0.1, 11,
+                params=svc.params,
+            )
+            expected = {
+                nonce: [
+                    (a.index, a.include, a.item)
+                    for a in (lca.answer(i, nonce=nonce) for i in indices)
+                ]
+                for nonce in nonces
+            }
+
+            def call(nonce):
+                report = svc.answer_batch(indices, nonce=nonce)
+                return nonce, [(a.index, a.include, a.item) for a in report.answers]
+
+            with ThreadPoolExecutor(max_workers=4) as callers:
+                results = list(callers.map(call, nonces, timeout=300))
+        assert dict(results) == expected
