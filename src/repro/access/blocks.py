@@ -7,8 +7,9 @@ parallel numpy arrays (``indices``, ``profits``, ``weights``) — the
 representation the cold pipeline consumes end to end (mask, dedup,
 slice, encode) without materializing ``m`` :class:`Sample`/``Item``
 objects.  :class:`TableBlock` is the
-weighted sampler's block: it gathers its columns only when read and
-takes its efficiency codes from the alias table's memo.
+weighted sampler's block: it settles its draws and gathers its columns
+only when read, and counts its efficiency codes from the alias table's
+memo.
 
 :class:`Sample` (one draw as a value object) lives here too; the
 object-path APIs (``sample``, ``sample_many``) are now thin views over
@@ -17,13 +18,21 @@ blocks, so there is a single source of truth for what a draw reveals.
 
 from __future__ import annotations
 
+import threading
 from typing import Iterator
 
 import numpy as np
 
 from ..errors import OracleError
 from ..knapsack.items import Item
-from .codes import encode_small
+from .beside import halves
+from .codes import (
+    DENSE_MAX_POINTS,
+    UNENCODED,
+    CodeCounts,
+    count_codes,
+    encode_small,
+)
 
 __all__ = ["Sample", "SampleBlock", "TableBlock"]
 
@@ -71,7 +80,7 @@ class SampleBlock:
         block can be shared between pipeline phases safely.
     """
 
-    __slots__ = ("indices", "_profits", "_weights")
+    __slots__ = ("_indices", "_profits", "_weights")
 
     def __init__(self, indices, profits, weights) -> None:
         idx = np.ascontiguousarray(indices, dtype=np.int64)
@@ -84,11 +93,16 @@ class SampleBlock:
             )
         for arr in (idx, p, w):
             arr.setflags(write=False)
-        self.indices = idx
+        self._indices = idx
         self._profits = p
         self._weights = w
 
     # ------------------------------------------------------------------
+    @property
+    def indices(self) -> np.ndarray:
+        """Per-draw item indices (read-only)."""
+        return self._indices
+
     @property
     def profits(self) -> np.ndarray:
         """Per-draw profits (read-only)."""
@@ -99,17 +113,17 @@ class SampleBlock:
         """Per-draw weights (read-only)."""
         return self._weights
 
-    def small_codes(self, eps_sq: float, domain) -> np.ndarray:
-        """Grid codes of the draws with profit at most ``eps_sq``, in
-        draw order: ``domain.encode_many`` of their efficiencies, the
-        input rQuantile gets in Algorithm 2 line 10, as
-        :func:`~repro.access.codes.code_dtype` integers.  Computed from
-        this block's own columns (so a corrupted or custom block keeps
-        its values)."""
-        return encode_small(self.profits, self.weights, eps_sq, domain)[1]
+    def small_code_counts(self, eps_sq: float, domain) -> CodeCounts:
+        """:class:`~repro.access.codes.CodeCounts` of the grid codes of
+        the draws with profit at most ``eps_sq`` (``domain.encode_many``
+        of their efficiencies): the multiset rQuantile gets in Algorithm
+        2 line 10.  Computed from this block's own columns (so a
+        corrupted or custom block keeps its values)."""
+        codes = encode_small(self.profits, self.weights, eps_sq, domain)[1]
+        return count_codes(codes, domain.size)
 
     def __len__(self) -> int:
-        return int(self.indices.size)
+        return int(self._indices.size)
 
     # ------------------------------------------------------------------
     # Object-path compatibility views (lazy: nothing is materialized
@@ -141,35 +155,75 @@ class SampleBlock:
 class TableBlock(SampleBlock):
     """Draws from an alias table over an explicit instance.
 
+    The block is built from both RNG streams of its draws, already
+    drawn (:meth:`~repro.access.weighted_sampler.AliasTable.draw_streams`),
+    and settles them (each draw whose coin rejects it moves to its
+    alias) on first read, once: reading ``indices``, ``profits`` or
+    ``weights`` settles the block's two halves beside each other, as
+    :meth:`~repro.access.weighted_sampler.AliasTable.draw_many` does.
+    A lock makes the settle happen once however many threads read a
+    fresh block; each later read sees the settled rows.
+
     ``profits``/``weights`` are gathered from the instance columns on
-    first access; :meth:`small_codes` reads the table's
+    first access.  :meth:`small_code_counts` reads the table's
     :class:`~repro.access.codes.CodeMemo` instead (from the table's
-    second run on), so a run that only needs codes never gathers the
-    float columns.  Both faces agree: the memo and
-    :meth:`SampleBlock.small_codes` encode through one function,
+    second run on): on a fresh block each half is settled, looked up in
+    the memo and counted on the thread that settled it, so a run that
+    only needs the counts never gathers the float columns nor keeps a
+    per-draw code array.  Both faces agree: the memo and
+    :meth:`SampleBlock.small_code_counts` encode through one function,
     :func:`~repro.access.codes.encode_small`.
     """
 
-    __slots__ = ("_columns", "_table")
+    __slots__ = ("_coin", "_lock", "_columns", "_table")
 
     def __init__(
-        self, indices, profits: np.ndarray, weights: np.ndarray, table
+        self,
+        indices: np.ndarray,
+        coin: np.ndarray,
+        profits: np.ndarray,
+        weights: np.ndarray,
+        table,
     ) -> None:
-        idx = np.ascontiguousarray(indices, dtype=np.int64)
-        if idx.ndim != 1:
-            raise OracleError(f"TableBlock indices must be 1-D, got shape {idx.shape}")
-        idx.setflags(write=False)
-        self.indices = idx
+        if indices.ndim != 1 or coin.shape != indices.shape:
+            raise OracleError(
+                f"TableBlock streams must be 1-D of equal length, got "
+                f"indices{indices.shape}, coin{coin.shape}"
+            )
+        self._indices = indices
+        self._coin = coin
+        self._lock = threading.Lock()
         self._profits = None
         self._weights = None
         self._columns = (profits, weights)
         self._table = table
+
+    def _settle(self, then=None) -> list:
+        """Settle the block unless it is settled, and run ``then(rows)``
+        (if given) over each half of the settled rows, on the thread that
+        settled that half; the results, one per part."""
+        idx = self._indices
+        with self._lock:
+            if self._coin is not None:
+                out = self._table.settle(idx, self._coin, then)
+                idx.setflags(write=False)
+                self._coin = None
+                return out
+        if then is None:
+            return []
+        return halves(lambda lo, hi: then(idx[lo:hi]), idx.size)
 
     @staticmethod
     def _gather(column: np.ndarray, rows: np.ndarray) -> np.ndarray:
         out = column[rows]
         out.setflags(write=False)
         return out
+
+    @property
+    def indices(self) -> np.ndarray:
+        if self._coin is not None:
+            self._settle()
+        return self._indices
 
     @property
     def profits(self) -> np.ndarray:
@@ -183,9 +237,32 @@ class TableBlock(SampleBlock):
             self._weights = self._gather(self._columns[1], self.indices)
         return self._weights
 
-    def small_codes(self, eps_sq: float, domain) -> np.ndarray:
+    def small_code_counts(self, eps_sq: float, domain) -> CodeCounts:
         memo = self._table.code_memo(*self._columns, eps_sq, domain)
         if memo is None:
-            return super().small_codes(eps_sq, domain)
-        codes = memo.lookup(self.indices)
-        return codes.take(np.flatnonzero(codes >= 0))
+            return super().small_code_counts(eps_sq, domain)
+        size = domain.size
+        if size > DENSE_MAX_POINTS:
+            codes = memo.codes[self.indices]
+            todo = np.flatnonzero(codes == UNENCODED)
+            if todo.size:
+                codes[todo] = memo.fill(self.indices[todo])
+            return count_codes(codes[codes >= 0], size)
+
+        def count(rows: np.ndarray):
+            # Shifted by 2, LARGE and UNENCODED land in bins 0 and 1.
+            codes = memo.codes[rows]
+            hist = np.bincount(np.add(codes, 2, dtype=np.intp), minlength=size + 2)
+            if hist[1] == 0:
+                return hist, None
+            if hist[1] == rows.size:  # a new memo: fill every row, copy none
+                return hist, rows
+            return hist, rows[np.flatnonzero(codes == UNENCODED)]
+
+        parts = self._settle(count)
+        hist = sum(part_hist for part_hist, _ in parts)
+        for _, todo in parts:
+            if todo is not None:
+                fresh = memo.fill(todo)
+                hist += np.bincount(np.add(fresh, 2, dtype=np.intp), minlength=size + 2)
+        return CodeCounts.from_histogram(hist[2:])

@@ -2,15 +2,19 @@
 
 Algorithm 2 (lines 5-10) hands rQuantile the *grid codes* of the small
 items in its efficiency sample Q: ``domain.encode_many(efficiency_array(
-p, w))`` for every draw with ``p <= eps^2``.  A draw's code is a pure
-function of the item, ``eps^2`` and the domain, so only *which* items
-were drawn is fresh per run (Def. 2.5); the arithmetic need not be.
-:class:`CodeMemo` keeps one small-int column over the instance: each
-row holds the item's code, :data:`LARGE` for ``p > eps^2``, or
-:data:`UNENCODED` until some run first draws it.  A run encodes only
-its still-unencoded rows, through the same rule
+p, w))`` for every draw with ``p <= eps^2``.  rQuantile depends only on
+the multiset of those codes, never on their draw order, so a block hands
+it their :class:`CodeCounts`: the distinct codes drawn, ascending, and
+how often each was drawn.
+
+A draw's code is a pure function of the item, ``eps^2`` and the domain,
+so only *which* items were drawn is fresh per run (Def. 2.5); the
+arithmetic need not be.  :class:`CodeMemo` keeps one small-int column
+over the instance: each row holds the item's code, :data:`LARGE` for
+``p > eps^2``, or :data:`UNENCODED` until some run first draws it.  A
+run encodes only its still-unencoded rows, through the same rule
 (:func:`encode_small`) a block computes its codes with, so every code
-it reads equals the one it would have computed.
+it counts equals the one it would have computed.
 
 The memo costs 2 bytes per item for domains of at most ``2**15``
 points (the calibrated 12-bit domain), wider only for larger domains.
@@ -20,16 +24,65 @@ never use.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from ..knapsack.items import efficiency_array
 
-__all__ = ["CodeMemo", "LARGE", "UNENCODED", "code_dtype", "encode_small"]
+__all__ = [
+    "CodeCounts",
+    "CodeMemo",
+    "DENSE_MAX_POINTS",
+    "LARGE",
+    "UNENCODED",
+    "code_dtype",
+    "count_codes",
+    "encode_small",
+]
 
 #: Row not yet encoded by any run.
 UNENCODED = -1
 #: Row of a large item (``profit > eps^2``): it never enters Q's codes.
 LARGE = -2
+
+#: Widest domain whose codes are counted into a dense ``np.bincount``
+#: histogram; wider domains (``bits`` goes up to 62) count by
+#: ``np.unique``.
+DENSE_MAX_POINTS = 1 << 16
+
+
+class CodeCounts(NamedTuple):
+    """A multiset of grid codes as its sorted support: ``values`` holds
+    the distinct codes, ascending, and ``counts[j]`` (at least 1) how
+    many times ``values[j]`` occurs.  Both are int64."""
+
+    values: np.ndarray
+    counts: np.ndarray
+
+    @property
+    def total(self) -> int:
+        """Size of the multiset."""
+        return int(self.counts.sum())
+
+    @classmethod
+    def from_histogram(cls, hist: np.ndarray) -> "CodeCounts":
+        """The support of a dense histogram (``hist[c]`` draws of code ``c``)."""
+        values = np.flatnonzero(hist)
+        return cls(values, hist[values].astype(np.int64, copy=False))
+
+
+def count_codes(codes: np.ndarray, domain_size: int) -> CodeCounts:
+    """:class:`CodeCounts` of integer ``codes`` in ``[0, domain_size)``:
+    through a dense ``np.bincount`` for domains of at most
+    :data:`DENSE_MAX_POINTS` points, through ``np.unique`` for wider
+    ones.  Both give the same arrays."""
+    if domain_size <= DENSE_MAX_POINTS:
+        return CodeCounts.from_histogram(np.bincount(codes, minlength=domain_size))
+    values, counts = np.unique(codes, return_counts=True)
+    return CodeCounts(
+        values.astype(np.int64, copy=False), counts.astype(np.int64, copy=False)
+    )
 
 
 def encode_small(profits, weights, eps_sq: float, domain, rows=None):
@@ -38,7 +91,7 @@ def encode_small(profits, weights, eps_sq: float, domain, rows=None):
     of the rows with profit at most ``eps_sq`` and ``codes`` are
     ``domain.encode_many(efficiency_array(p, w))`` of those rows, in
     row order, as :func:`code_dtype` integers.  The one encoding rule
-    both :meth:`~repro.access.blocks.SampleBlock.small_codes` and
+    both :meth:`~repro.access.blocks.SampleBlock.small_code_counts` and
     :class:`CodeMemo` use; weights are gathered for small rows only.
 
     The rows are selected by position: the small/large mask is mixed,
@@ -89,23 +142,13 @@ class CodeMemo:
         out[small] = codes
         return out
 
-    def lookup(self, rows: np.ndarray) -> np.ndarray:
-        """Codes of ``rows`` (:data:`LARGE` for large items), encoding and
-        storing the rows no run has encoded yet."""
-        codes = self.codes[rows]
-        todo = np.flatnonzero(codes == UNENCODED)
-        if todo.size == 0:
-            return codes
-        if todo.size == rows.size:  # nothing drawn was encoded yet
-            todo_rows = rows
-            codes = fresh = self.encode(rows)
-        else:
-            todo_rows = rows[todo]
-            fresh = self.encode(todo_rows)
-            codes[todo] = fresh
+    def fill(self, rows: np.ndarray) -> np.ndarray:
+        """Encode ``rows`` (:data:`LARGE` for large items), store their
+        codes in the memo and return them."""
+        codes = self.encode(rows)
         # No lock: every writer stores encode(row), a pure function of
         # the row, so threads racing on one row write equal values.  A
         # reader sees either the sentinel, and encodes the row itself,
         # or the final code.
-        self.codes[todo_rows] = fresh
+        self.codes[rows] = codes
         return codes

@@ -303,9 +303,10 @@ class LCAKP:
             p_large = min(sum(p for p, _ in large.values()), 1.0)
 
         # Lines 4-17: estimate the EPS when enough mass sits outside L.
-        # Q's small draws reach rQuantile as grid codes; the block reads
-        # them from the sampler's per-item memo when it has one, so only
-        # the draw itself is fresh work per run.
+        # Q's small draws reach rQuantile as the counts of their grid
+        # codes; the block reads the codes from the sampler's per-item
+        # memo when it has one, so only the draw itself is fresh work per
+        # run.
         eps_sequence: tuple[float, ...] = ()
         small_sample_size = 0
         q_block = None
@@ -315,8 +316,8 @@ class LCAKP:
                 run = params.per_run(p_large)
                 q_block = self._sampler.sample_block(run.a, rng)
                 total_q_draws = run.a
-                codes = q_block.small_codes(eps_sq, params.domain)
-                small_sample_size = int(codes.size)
+                counts = q_block.small_code_counts(eps_sq, params.domain)
+                small_sample_size = counts.total
                 if small_sample_size > 0 and run.t > 0:
                     estimator = ReproducibleQuantileEstimator(
                         domain=params.domain,
@@ -324,8 +325,8 @@ class LCAKP:
                         rho=params.rho,
                         beta=params.beta,
                     )
-                    # All t descents share the sample array, so they run
-                    # batched (one sort, one searchsorted per grid
+                    # All t descents share the sample, so they run
+                    # batched over its counts (one searchsorted per grid
                     # level) — bit-identical to per-k quantile() calls.
                     targets = [
                         min(max(1.0 - k * run.q, 0.0), 1.0)
@@ -335,7 +336,7 @@ class LCAKP:
                         self._seed.child("rquantile").child(k)
                         for k in range(1, run.t + 1)
                     ]
-                    raw = estimator.quantiles(codes, targets, nodes)
+                    raw = estimator.quantiles(counts, targets, nodes)
                     thresholds: list[float] = []
                     for e_k in raw:
                         e_k = float(e_k)

@@ -52,6 +52,7 @@ import math
 
 import numpy as np
 
+from ..access.codes import CodeCounts, count_codes
 from ..access.seeds import SeedChain
 from ..analysis.logstar import log_star_of_pow2
 from ..errors import ReproducibilityError
@@ -60,13 +61,14 @@ __all__ = [
     "rmedian",
     "rquantile_descent",
     "rquantile_descent_batch",
+    "rquantile_descent_counts",
     "shared_coin",
     "theoretical_sample_complexity",
     "practical_sample_complexity",
 ]
 
 
-#: Shared-seed coins :func:`rquantile_descent_batch` keeps (LRU-evicted).
+#: Shared-seed coins :func:`rquantile_descent_counts` keeps (LRU-evicted).
 COIN_MEMO_SIZE = 4096
 
 
@@ -193,15 +195,11 @@ def rquantile_descent_batch(
 ) -> np.ndarray:
     """Batched :func:`rquantile_descent`: many targets over one sample set.
 
-    LCA-KP estimates ``t`` efficiency thresholds from the *same* sample
-    array, each with its own seed node and target quantile.  Running the
-    descents in lockstep shares the dominant costs — one ``np.sort`` of
-    the samples and one vectorized ``np.searchsorted`` per grid level
-    serving every threshold — while every per-threshold scalar
-    (``theta``, ``floor``, lattice offsets, rank arithmetic, mass decay)
-    is computed with the exact floating-point expressions of the scalar
-    path; the shared-seed coins come through :func:`shared_coin`, so
-    repeated runs derive them once.  The result is bit-identical to calling
+    The array face of :func:`rquantile_descent_counts`: the samples are
+    counted into their sorted support
+    (:func:`~repro.access.codes.count_codes`, a ``bincount`` for domains
+    of at most ``2**16`` points, ``np.unique`` beyond) and every descent
+    runs over that.  The result is bit-identical to calling
     :func:`rquantile_descent` once per ``(seed, target)`` pair; a
     hypothesis property test pins this, since run outputs (and therefore
     pipeline reproducibility) depend on it.
@@ -220,6 +218,54 @@ def rquantile_descent_batch(
     numpy.ndarray
         int64 array of surviving-interval left edges, one per target.
     """
+    xs = np.asarray(samples)
+    if xs.dtype.kind != "i":
+        xs = xs.astype(np.int64)
+    counts = CodeCounts(np.empty(0, np.int64), np.empty(0, np.int64))
+    if xs.size and domain_size >= 1:  # else rquantile_descent_counts raises
+        low, high = xs.min(), xs.max()
+        if low < 0 or high >= domain_size:
+            raise ReproducibilityError(
+                f"samples must lie in [0, {domain_size}); got range [{low}, {high}]"
+            )
+        counts = count_codes(xs, domain_size)
+    return rquantile_descent_counts(
+        counts,
+        domain_size,
+        seeds,
+        targets,
+        tau=tau,
+        branching=branching,
+    )
+
+
+def rquantile_descent_counts(
+    counts: CodeCounts,
+    domain_size: int,
+    seeds,
+    targets,
+    *,
+    tau: float = 0.05,
+    branching: int = 4,
+) -> np.ndarray:
+    """:func:`rquantile_descent_batch` over the samples' sorted support.
+
+    The descent depends only on the sorted multiset of the samples, so it
+    reads :class:`~repro.access.codes.CodeCounts` (the distinct values
+    ``values`` ascending and their ``counts``) and never the samples.
+    With ``ends`` the cumulative counts (``ends[j]`` samples lie below
+    ``values[j]``), the sorted array's ``searchsorted(xs, v)`` is
+    ``ends[searchsorted(values, v)]`` and its element at position ``j``
+    is ``values[searchsorted(ends[1:], j, "right")]``: the same integers,
+    from arrays of at most ``min(|Q|, |X|)`` entries.
+
+    All descents run in lockstep, one vectorized ``searchsorted`` per
+    grid level serving every threshold, while every per-threshold scalar
+    (``theta``, ``floor``, lattice offsets, rank arithmetic, mass decay)
+    is computed with the exact floating-point expressions of the scalar
+    path; the shared-seed coins come through :func:`shared_coin`, so
+    repeated runs derive them once.
+    """
     seeds = list(seeds)
     targets = [float(p) for p in targets]
     if len(seeds) != len(targets):
@@ -229,19 +275,15 @@ def rquantile_descent_batch(
     k = len(targets)
     if k == 0:
         return np.empty(0, dtype=np.int64)
-    # Sort before widening: narrow codes (the pipeline's int16 memo
-    # reads) sort several times faster than their int64 copies.
-    xs = np.asarray(samples)
-    if xs.dtype.kind != "i":
-        xs = xs.astype(np.int64)
-    xs = np.sort(xs).astype(np.int64, copy=False)
-    if xs.size == 0:
+    values, multiplicities = counts
+    if values.size == 0:
         raise ReproducibilityError("rquantile_descent needs at least one sample")
     if domain_size < 1:
         raise ReproducibilityError(f"domain_size must be >= 1, got {domain_size}")
-    if xs[0] < 0 or xs[-1] >= domain_size:
+    if values[0] < 0 or values[-1] >= domain_size:
         raise ReproducibilityError(
-            f"samples must lie in [0, {domain_size}); got range [{xs[0]}, {xs[-1]}]"
+            f"samples must lie in [0, {domain_size}); "
+            f"got range [{values[0]}, {values[-1]}]"
         )
     for p in targets:
         if not 0 <= p <= 1:
@@ -250,6 +292,14 @@ def rquantile_descent_batch(
         raise ReproducibilityError(f"tau must lie in (0, 1], got {tau}")
     if branching < 2:
         raise ReproducibilityError(f"branching must be >= 2, got {branching}")
+    values = values.astype(np.int64, copy=False)
+    ends = np.zeros(values.size + 1, dtype=np.int64)
+    np.cumsum(multiplicities, out=ends[1:])
+    n = int(ends[-1])
+
+    def below(v: np.ndarray) -> np.ndarray:
+        """Number of samples less than each ``v``."""
+        return ends[np.searchsorted(values, v, side="left")]
 
     t = np.empty(k)
     floor = np.empty(k)
@@ -274,9 +324,8 @@ def rquantile_descent_batch(
             offset[i] = shared_coin(
                 seeds[i], f"offset-{round_idx}", "integer", 0, int(width[i])
             )
-        a = np.searchsorted(xs, lo, side="left")
-        b = np.searchsorted(xs, hi, side="left")
-        sz = b - a
+        a = below(lo)
+        sz = below(hi) - a
         # Empty interval: the quantile is unidentifiable; that descent
         # stops and emits its current left edge (the scalar `break`).
         active &= sz > 0
@@ -286,22 +335,23 @@ def rquantile_descent_batch(
         rank = np.minimum(
             np.maximum(np.ceil(t * sz_safe).astype(np.int64) - 1, 0), sz_safe - 1
         )
-        pivot = xs[np.minimum(a + rank, xs.size - 1)]
+        position = np.minimum(a + rank, n - 1)
+        pivot = values[np.searchsorted(ends[1:], position, side="right")]
         anchor = lo - offset
         cell_start = anchor + ((pivot - anchor) // width) * width
         new_lo = np.maximum(cell_start, lo)
         new_hi = np.minimum(cell_start + width, hi)
-        # searchsorted over the full sorted array minus the interval
-        # offset equals searchsorted over the sub-interval slice, since
-        # new_lo/new_hi lie within [lo, hi).
-        below = (np.searchsorted(xs, new_lo, side="left") - a) / sz_safe
-        upto = (np.searchsorted(xs, new_hi, side="left") - a) / sz_safe
-        cell_frac = upto - below
+        # Counts over the whole support minus the interval's offset equal
+        # counts over the interval, since new_lo/new_hi lie within
+        # [lo, hi).
+        frac_below = (below(new_lo) - a) / sz_safe
+        upto = (below(new_hi) - a) / sz_safe
+        cell_frac = upto - frac_below
         with np.errstate(divide="ignore", invalid="ignore"):
             t_desc = np.where(
                 cell_frac <= 0,
                 0.5,
-                np.minimum(np.maximum((t - below) / cell_frac, 0.0), 1.0),
+                np.minimum(np.maximum((t - frac_below) / cell_frac, 0.0), 1.0),
             )
         t = np.where(active, t_desc, t)
         mass = np.where(active, mass * np.maximum(cell_frac, 0.0), mass)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..access.codes import CodeCounts
 from ..access.seeds import SeedChain
 from ..errors import ReproducibilityError
 from .domains import EfficiencyDomain
@@ -31,6 +32,7 @@ from .rmedian import (
     rmedian,
     rquantile_descent,
     rquantile_descent_batch,
+    rquantile_descent_counts,
     theoretical_sample_complexity,
 )
 
@@ -210,18 +212,21 @@ class ReproducibleQuantileEstimator:
         )
 
     def quantiles(self, codes, targets, seeds) -> np.ndarray:
-        """Batched :meth:`quantile`: many targets over one array of grid codes.
+        """Batched :meth:`quantile`: many targets over one sample of grid codes.
 
         ``codes`` are values already encoded to this estimator's grid,
-        i.e. ``self.domain.encode_many`` of the float values — what
-        LCA-KP reads from its per-item code memo.  Bit-identical to
-        calling :meth:`quantile` on the float values once per
-        ``(target, seed)`` pair — LCA-KP's threshold loop depends on
-        that — but, for the default ``method="direct"`` single-vote
-        configuration, all descents run in lockstep via
-        :func:`rquantile_descent_batch`, sharing one sort and one
-        ``searchsorted`` per grid level.  Other methods and ``vote > 1``
-        fall back to per-target calls (same outputs, no sharing).
+        i.e. ``self.domain.encode_many`` of the float values, either as
+        an array in draw order or as their
+        :class:`~repro.access.codes.CodeCounts` (what LCA-KP counts from
+        its per-item code memo).  Bit-identical to calling
+        :meth:`quantile` on the float values once per ``(target, seed)``
+        pair — LCA-KP's threshold loop depends on that — but, for the
+        default ``method="direct"`` single-vote configuration, all
+        descents run in lockstep over the codes' sorted support
+        (:func:`rquantile_descent_counts`), one ``searchsorted`` per grid
+        level.  Other methods and ``vote > 1`` fall back to per-target
+        calls (same outputs, no sharing); they take only the array,
+        since ``vote > 1`` splits it in draw order.
         """
         targets = [float(p) for p in targets]
         seeds = list(seeds)
@@ -231,14 +236,24 @@ class ReproducibleQuantileEstimator:
             )
         if not targets:
             return np.empty(0)
-        codes = np.asarray(codes)
-        if codes.size == 0:
-            raise ReproducibilityError("quantile needs at least one sample")
-        if self.method != "direct" or self.vote > 1:
-            return np.asarray(
-                [self._quantile_codes(codes, p, s) for p, s in zip(targets, seeds)]
-            )
-        indices = rquantile_descent_batch(
+        direct = self.method == "direct" and self.vote <= 1
+        if isinstance(codes, CodeCounts):
+            if not direct:
+                raise ReproducibilityError(
+                    f"method={self.method!r}, vote={self.vote} needs the codes "
+                    "in draw order, not their counts"
+                )
+            descend = rquantile_descent_counts
+        else:
+            codes = np.asarray(codes)
+            if codes.size == 0:
+                raise ReproducibilityError("quantile needs at least one sample")
+            if not direct:
+                return np.asarray(
+                    [self._quantile_codes(codes, p, s) for p, s in zip(targets, seeds)]
+                )
+            descend = rquantile_descent_batch
+        indices = descend(
             codes,
             self.domain.size,
             seeds,

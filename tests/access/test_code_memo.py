@@ -1,9 +1,9 @@
-"""The per-item efficiency-code memo behind ``TableBlock.small_codes``.
+"""The per-item efficiency-code memo behind ``TableBlock.small_code_counts``.
 
-A weighted sampler's block reads the grid codes of its small draws from
-a memo on the alias table; every other block computes them from its own
-columns.  The two must agree on every draw, whatever the memo already
-holds, for any instance, ``eps^2`` and domain.
+A weighted sampler's block counts the grid codes of its small draws
+from a memo on the alias table; every other block computes them from
+its own columns.  The two must give the same histogram, whatever the
+memo already holds, for any instance, ``eps^2`` and domain.
 """
 
 from __future__ import annotations
@@ -17,10 +17,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.access import beside
 from repro.access.blocks import SampleBlock, TableBlock
-from repro.access.codes import LARGE, UNENCODED, CodeMemo, code_dtype
+from repro.access.codes import (
+    LARGE,
+    UNENCODED,
+    CodeCounts,
+    CodeMemo,
+    code_dtype,
+    encode_small,
+)
 from repro.access.weighted_sampler import AliasTable, WeightedSampler
 from repro.faults import FaultPlan, FaultyAccess
+from repro.knapsack.generators import generate
 from repro.knapsack.instance import KnapsackInstance
 from repro.knapsack.items import efficiency
 from repro.reproducible.domains import EfficiencyDomain
@@ -41,11 +50,29 @@ def filled(memo):
 
 
 def column_codes(instance, indices, eps_sq=EPS_SQ, domain=DOMAIN):
-    """The reference: a plain block over the gathered columns."""
-    block = SampleBlock(
-        indices, instance.profits[indices], instance.weights[indices]
-    )
-    return block.small_codes(eps_sq, domain)
+    """The reference: the small draws' codes, in draw order, computed from
+    the gathered columns (what a plain block encodes)."""
+    return encode_small(
+        instance.profits[indices], instance.weights[indices], eps_sq, domain
+    )[1]
+
+
+def histogram(counts, domain=DOMAIN):
+    """``counts`` (a :class:`CodeCounts`) as a dense list over the domain,
+    after checking it is a well-formed sorted support."""
+    assert isinstance(counts, CodeCounts)
+    values, per_value = counts
+    assert values.dtype == per_value.dtype == np.int64
+    assert np.all(np.diff(values) > 0) and np.all(per_value > 0)
+    dense = np.zeros(domain.size, dtype=np.int64)
+    dense[values] = per_value
+    return dense.tolist()
+
+
+def column_histogram(instance, indices, eps_sq=EPS_SQ, domain=DOMAIN):
+    """The reference histogram: ``np.bincount`` of :func:`column_codes`."""
+    codes = column_codes(instance, indices, eps_sq, domain)
+    return np.bincount(codes, minlength=domain.size).tolist()
 
 
 #: Profits hit eps^2 exactly, straddle it and reach 0; weights reach 0
@@ -76,15 +103,14 @@ def test_table_codes_equal_column_codes(instance, draws, prefill, seed):
     if prefill != "unseen":
         memo = memo_of(sampler.table, instance)
     if prefill == "full":
-        memo.lookup(np.arange(instance.n))
+        memo.fill(np.arange(instance.n))
         assert filled(memo) == instance.n
     elif prefill == "partial":
-        memo.lookup(rng.integers(instance.n, size=max(1, instance.n // 2)))
+        memo.fill(rng.integers(instance.n, size=max(1, instance.n // 2)))
     block = sampler.sample_block(draws, rng)
     assert isinstance(block, TableBlock)
-    got = block.small_codes(EPS_SQ, DOMAIN)
-    want = column_codes(instance, block.indices)
-    assert got.tolist() == want.tolist()
+    got = block.small_code_counts(EPS_SQ, DOMAIN)
+    assert histogram(got) == column_histogram(instance, block.indices)
     # The block's lazily gathered columns are the instance's rows.
     assert block.profits.tolist() == instance.profits[block.indices].tolist()
     assert block.weights.tolist() == instance.weights[block.indices].tolist()
@@ -98,7 +124,7 @@ def test_sentinels_and_edge_items():
     memo = CodeMemo(inst.profits, inst.weights, EPS_SQ, DOMAIN)
     assert memo.codes.dtype == np.int16
     assert filled(memo) == 0 and set(memo.codes.tolist()) == {UNENCODED}
-    codes = memo.lookup(np.arange(inst.n))
+    codes = memo.fill(np.arange(inst.n))
     top = DOMAIN.size - 1
     assert codes.tolist() == [top, 0, DOMAIN.encode(EPS_SQ), LARGE, 0, top]
     assert memo.codes.tolist() == codes.tolist()
@@ -119,10 +145,11 @@ def test_wide_domain_memo_matches_columns():
     sampler = WeightedSampler(inst)
     block = sampler.sample_block(2000, rng)
     eps_sq = float(np.median(inst.profits))
-    assert block.small_codes(eps_sq, domain).tolist() == column_codes(
-        inst, block.indices, eps_sq, domain
-    ).tolist()
-    block.small_codes(eps_sq, domain)  # the second run creates the memo
+    want = column_histogram(inst, block.indices, eps_sq, domain)
+    assert histogram(block.small_code_counts(eps_sq, domain), domain) == want
+    # The second run creates the memo, the third reads it.
+    for _ in range(2):
+        assert histogram(block.small_code_counts(eps_sq, domain), domain) == want
     memo = memo_of(sampler.table, inst, eps_sq, domain)
     assert memo.codes.dtype == np.int32
 
@@ -135,9 +162,9 @@ def test_two_parameter_sets_share_one_table():
     for _ in range(3):
         block = sampler.sample_block(400, rng)
         for eps_sq, domain in settings_:
-            assert block.small_codes(eps_sq, domain).tolist() == column_codes(
-                inst, block.indices, eps_sq, domain
-            ).tolist()
+            assert histogram(
+                block.small_code_counts(eps_sq, domain), domain
+            ) == column_histogram(inst, block.indices, eps_sq, domain)
     memos = {id(memo_of(sampler.table, inst, e, d)) for e, d in settings_}
     assert len(memos) == 2
 
@@ -150,9 +177,9 @@ def test_a_second_instance_on_the_table_gets_its_own_memo():
     table = WeightedSampler(a).table
     for inst in (a, b, a):
         block = WeightedSampler(inst, table=table).sample_block(300, rng)
-        assert block.small_codes(EPS_SQ, DOMAIN).tolist() == column_codes(
-            inst, block.indices
-        ).tolist()
+        assert histogram(block.small_code_counts(EPS_SQ, DOMAIN)) == (
+            column_histogram(inst, block.indices)
+        )
 
 
 def test_a_tables_first_run_allocates_no_memo():
@@ -160,14 +187,14 @@ def test_a_tables_first_run_allocates_no_memo():
     inst = KnapsackInstance(rng.uniform(0, 1, 300), rng.uniform(0.01, 1, 300), 1.0)
     sampler = WeightedSampler(inst)
     first = sampler.sample_block(500, rng)
-    assert first.small_codes(EPS_SQ, DOMAIN).tolist() == column_codes(
-        inst, first.indices
-    ).tolist()
+    assert histogram(first.small_code_counts(EPS_SQ, DOMAIN)) == (
+        column_histogram(inst, first.indices)
+    )
     assert list(sampler.table._memos.values()) == [None]
     second = sampler.sample_block(500, rng)
-    assert second.small_codes(EPS_SQ, DOMAIN).tolist() == column_codes(
-        inst, second.indices
-    ).tolist()
+    assert histogram(second.small_code_counts(EPS_SQ, DOMAIN)) == (
+        column_histogram(inst, second.indices)
+    )
     (memo,) = sampler.table._memos.values()
     assert filled(memo) == np.unique(second.indices).size
 
@@ -199,7 +226,7 @@ def test_threads_fill_one_memo():
     def fill(k):
         start.wait()
         for _ in range(3):
-            got[k] = blocks[k].small_codes(eps_sq, DOMAIN)
+            got[k] = blocks[k].small_code_counts(eps_sq, DOMAIN)
 
     threads = [threading.Thread(target=fill, args=(k,)) for k in range(len(blocks))]
     interval = sys.getswitchinterval()
@@ -213,7 +240,7 @@ def test_threads_fill_one_memo():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     for block, codes in zip(blocks, got):
-        assert codes.tolist() == column_codes(inst, block.indices, eps_sq, DOMAIN).tolist()
+        assert histogram(codes) == column_histogram(inst, block.indices, eps_sq)
     rows = np.flatnonzero(memo.codes != UNENCODED)
     drawn = np.unique(np.concatenate([b.indices for b in blocks]))
     assert rows.tolist() == drawn.tolist()
@@ -226,24 +253,21 @@ def test_corrupted_block_reads_its_own_columns():
     eps_sq = float(np.quantile(inst.profits, 0.9))
     plan = FaultPlan(seed=2, corruption_rate=1.0, corruption_scale=0.5)
     raw = WeightedSampler(inst)
-    memo_of(raw.table, inst, eps_sq, DOMAIN).lookup(np.arange(inst.n))
+    memo_of(raw.table, inst, eps_sq, DOMAIN).fill(np.arange(inst.n))
     faulty = FaultyAccess(raw, plan.stream("test", "sampler"))
     block = faulty.sample_block(1000, np.random.default_rng(1))
     assert faulty.corruptions == 1 and not isinstance(block, TableBlock)
     own = SampleBlock(block.indices, block.profits, block.weights)
-    assert block.small_codes(eps_sq, DOMAIN).tolist() == own.small_codes(
-        eps_sq, DOMAIN
-    ).tolist()
+    got = histogram(block.small_code_counts(eps_sq, DOMAIN))
+    assert got == histogram(own.small_code_counts(eps_sq, DOMAIN))
     # ...which is not what the memo holds for the same rows.
-    assert block.small_codes(eps_sq, DOMAIN).tolist() != column_codes(
-        inst, block.indices, eps_sq, DOMAIN
-    ).tolist()
+    assert got != column_histogram(inst, block.indices, eps_sq)
 
 
 def test_memo_is_not_pickled():
     inst = KnapsackInstance([0.3, 0.7], [1.0, 2.0], 2.0)
     sampler = WeightedSampler(inst)
-    sampler.sample_block(10, np.random.default_rng(0)).small_codes(0.5, DOMAIN)
+    sampler.sample_block(10, np.random.default_rng(0)).small_code_counts(0.5, DOMAIN)
     assert sampler.table._memos
     copy = pickle.loads(pickle.dumps(sampler.table))
     assert copy._memos == {}
@@ -254,7 +278,8 @@ def test_memo_is_not_pickled():
 def test_empty_block_has_no_codes():
     inst = KnapsackInstance([0.3, 0.7], [1.0, 2.0], 2.0)
     block = WeightedSampler(inst).sample_block(0, np.random.default_rng(0))
-    assert block.small_codes(EPS_SQ, DOMAIN).size == 0
+    counts = block.small_code_counts(EPS_SQ, DOMAIN)
+    assert counts.values.size == counts.counts.size == counts.total == 0
     assert block.profits.size == 0
 
 
@@ -269,8 +294,8 @@ EDGE_PROFITS = {
 @pytest.mark.parametrize("kind", sorted(EDGE_PROFITS))
 def test_small_codes_edge_blocks(kind, prefill):
     """Blocks with no draws, no small draws or only small draws give the
-    codes a plain block gives, in draw order and of the same dtype,
-    whatever the memo already holds."""
+    histogram a plain block gives and the one of the codes encoded draw
+    by draw, whatever the memo already holds."""
     profits = EDGE_PROFITS[kind]
     weights = [1.0, 0.0, 1e-4, 2.0, 1e6][: len(profits)]
     inst = KnapsackInstance(profits, weights, 1e6, normalize=False)
@@ -278,22 +303,23 @@ def test_small_codes_edge_blocks(kind, prefill):
     if prefill != "unseen":
         memo = memo_of(sampler.table, inst)
         if prefill == "partial":
-            memo.lookup(np.array([0, len(profits) - 1]))
+            memo.fill(np.array([0, len(profits) - 1]))
         elif prefill == "full":
-            memo.lookup(np.arange(inst.n))
+            memo.fill(np.arange(inst.n))
     draws = 0 if kind == "empty" else 300
     block = sampler.sample_block(draws, np.random.default_rng(11))
-    got = block.small_codes(EPS_SQ, DOMAIN)
-    want = column_codes(inst, block.indices)
-    assert got.dtype == want.dtype == code_dtype(DOMAIN.size)
-    assert got.tolist() == want.tolist()
+    got = block.small_code_counts(EPS_SQ, DOMAIN)
+    assert column_codes(inst, block.indices).dtype == code_dtype(DOMAIN.size)
+    assert histogram(got) == column_histogram(inst, block.indices)
     in_draw_order = [
         DOMAIN.encode(efficiency(inst.profits[i], inst.weights[i]))
         for i in block.indices.tolist()
         if inst.profits[i] <= EPS_SQ
     ]
-    assert got.tolist() == in_draw_order
-    assert got.size == {"empty": 0, "all_large": 0, "all_small": draws}[kind]
+    assert histogram(got) == np.bincount(
+        np.asarray(in_draw_order, dtype=np.int64), minlength=DOMAIN.size
+    ).tolist()
+    assert got.total == {"empty": 0, "all_large": 0, "all_small": draws}[kind]
 
 
 @pytest.mark.parametrize("attr", ["indices", "profits", "weights"])
@@ -302,3 +328,102 @@ def test_table_block_columns_are_read_only(attr):
     block = WeightedSampler(inst).sample_block(5, np.random.default_rng(0))
     with pytest.raises(ValueError):
         getattr(block, attr)[0] = 0
+
+
+SPLIT = beside.SPLIT_MIN_ROWS
+
+
+@pytest.fixture(scope="module")
+def planted():
+    return generate("planted_lsg", 20_000, seed=0)
+
+
+@pytest.mark.parametrize("m", [SPLIT - 1, SPLIT, 3 * SPLIT + 1])
+def test_counts_are_identical_split_and_inline(planted, monkeypatch, m):
+    """Around the split threshold (and at an odd size past it), a block
+    counted in two halves on two threads, and one counted with the helper
+    slot held (inline on the caller), both equal ``np.bincount`` of the
+    codes computed from the columns, settle the draws ``draw_many``
+    settles, and leave the generator in the same state.  The memo starts
+    part filled, so each half also finds rows to encode."""
+    settled_on = []
+    settle = AliasTable._settle
+
+    def recording(self, idx, coin):
+        settled_on.append(threading.get_ident())
+        settle(self, idx, coin)
+
+    monkeypatch.setattr(AliasTable, "_settle", recording)
+    seed = 7000 + m
+    ref_rng = np.random.default_rng(seed)
+    ref = AliasTable(planted.profits).draw_many(m, ref_rng)
+    seen = []
+    for held in (False, True):
+        table = AliasTable(planted.profits)
+        memo_of(table, planted).fill(np.arange(0, planted.n, 3))
+        rng = np.random.default_rng(seed)
+        block = WeightedSampler(planted, table=table).sample_block(m, rng)
+        settled_on.clear()
+        if held:
+            with beside._SLOT:
+                counts = block.small_code_counts(EPS_SQ, DOMAIN)
+        else:
+            counts = block.small_code_counts(EPS_SQ, DOMAIN)
+        threads = set(settled_on)
+        assert block.indices.tobytes() == ref.tobytes()
+        assert histogram(counts) == column_histogram(planted, ref)
+        seen.append((threads, rng.random()))
+    (free_threads, free_next), (held_threads, held_next) = seen
+    assert held_threads == {threading.get_ident()}
+    assert len(free_threads) == (2 if m >= SPLIT and beside._cpus() > 1 else 1)
+    assert free_next == held_next == ref_rng.random()
+
+
+def test_a_fresh_block_read_from_two_threads_settles_once(planted, monkeypatch):
+    """``indices`` on one thread and ``small_code_counts`` on another, both
+    on a fresh block: the draws are settled once, and both readers get
+    what a serial read gives."""
+    settles = []
+    settle = AliasTable.settle
+
+    def counting(self, idx, coin, then=None):
+        settles.append(idx.size)
+        return settle(self, idx, coin, then)
+
+    monkeypatch.setattr(AliasTable, "settle", counting)
+    m = 2 * SPLIT + 3
+    table = AliasTable(planted.profits)
+    memo_of(table, planted)
+    ref = table.draw_many(m, np.random.default_rng(5))
+    want = column_histogram(planted, ref)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(8):
+            block = WeightedSampler(planted, table=table).sample_block(
+                m, np.random.default_rng(5)
+            )
+            settles.clear()
+            start = threading.Barrier(2)
+            got = {}
+
+            def read_indices():
+                start.wait()
+                got["indices"] = block.indices.tobytes()
+
+            def read_counts():
+                start.wait()
+                got["counts"] = histogram(block.small_code_counts(EPS_SQ, DOMAIN))
+
+            readers = [threading.Thread(target=f) for f in (read_indices, read_counts)]
+            if trial % 2:
+                readers.reverse()
+            for t in readers:
+                t.start()
+            for t in readers:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in readers)
+            assert settles == [m]
+            assert got == {"indices": ref.tobytes(), "counts": want}
+    finally:
+        sys.setswitchinterval(interval)

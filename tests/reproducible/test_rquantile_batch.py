@@ -1,10 +1,14 @@
 """Bit-identity of the batched grid descent.
 
 :func:`rquantile_descent_batch` serves all k thresholds with one
-``searchsorted`` per grid level; LCA-KP's threshold loop switched to it,
-so every output must equal the scalar :func:`rquantile_descent` run
-*exactly* — same seeds, same thresholds, same floating-point
-comparisons — or reproducibility across the two spellings breaks.
+``searchsorted`` per grid level over the samples' sorted support
+(:func:`~repro.reproducible.rmedian.rquantile_descent_counts`); LCA-KP's
+threshold loop runs it over the counts of Q's codes, so every output
+must equal the scalar :func:`rquantile_descent` run *exactly* — same
+seeds, same thresholds, same floating-point comparisons — or
+reproducibility across the spellings breaks.  Domains of at most 2**16
+points build the support with ``np.bincount``, wider ones with
+``np.unique``.
 """
 
 import importlib
@@ -14,12 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.access.codes import code_dtype
+from repro.access.codes import DENSE_MAX_POINTS, CodeCounts, code_dtype, count_codes
 from repro.access.seeds import SeedChain
 from repro.errors import ReproducibilityError
 from repro.reproducible.rmedian import (
     rquantile_descent,
     rquantile_descent_batch,
+    rquantile_descent_counts,
     shared_coin,
 )
 from repro.reproducible.rquantile import ReproducibleQuantileEstimator
@@ -35,7 +40,7 @@ def _seeds(root, k):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    domain_bits=st.integers(min_value=3, max_value=12),
+    domain_bits=st.integers(min_value=3, max_value=40),
     n=st.integers(min_value=1, max_value=2000),
     k=st.integers(min_value=1, max_value=8),
     dist=st.sampled_from(["uniform", "clustered", "geometric", "constant"]),
@@ -71,6 +76,38 @@ def test_batch_descent_matches_scalar_bit_for_bit(
         for s, t in zip(seeds, targets)
     ]
     assert batch.tolist() == scalar
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    domain_bits=st.integers(min_value=1, max_value=16),
+    n=st.integers(min_value=0, max_value=3000),
+    spread=st.sampled_from([1, 3, 50, None]),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_bincount_support_equals_unique_support(domain_bits, n, spread, seed):
+    """Counting codes densely (domains of at most 2**16 points) and by
+    ``np.unique`` (wider ones) give the same sorted support, of any code
+    dtype, and descents over either agree."""
+    size = 2**domain_bits
+    rng = np.random.default_rng(seed)
+    high = size if spread is None else min(size, spread)
+    start = int(rng.integers(0, size - high + 1))
+    codes = (start + rng.integers(0, high, size=n)).astype(code_dtype(size))
+    dense = count_codes(codes, size)
+    assert size <= DENSE_MAX_POINTS
+    values, counts = np.unique(codes, return_counts=True)
+    for support in (dense, count_codes(codes, 2 * DENSE_MAX_POINTS)):
+        assert isinstance(support, CodeCounts)
+        assert support.values.dtype == support.counts.dtype == np.int64
+        assert support.values.tolist() == values.tolist()
+        assert support.counts.tolist() == counts.tolist()
+        assert support.total == n
+    if n:
+        seeds, targets = _seeds(seed, 3), [0.1, 0.5, 0.9]
+        assert rquantile_descent_counts(
+            dense, size, seeds, targets
+        ).tolist() == rquantile_descent_batch(codes, size, seeds, targets).tolist()
 
 
 def test_batch_descent_edge_targets():
@@ -153,6 +190,29 @@ def test_estimator_quantiles_take_narrow_codes():
         ]
     with pytest.raises(ReproducibilityError):
         est.quantiles(np.empty(0, dtype=np.int16), [0.5], _seeds(0, 1))
+
+
+def test_estimator_quantiles_take_code_counts():
+    """The direct single-vote path reads the codes' counts and decodes
+    like the code array; the methods that need draw order refuse them."""
+    values = np.random.default_rng(6).lognormal(0.0, 2.0, size=900)
+    targets = [0.1, 0.5, 0.9]
+    est = ReproducibleQuantileEstimator()
+    seeds = _seeds(5, len(targets))
+    codes = est.domain.encode_many(values).astype(code_dtype(est.domain.size))
+    counts = count_codes(codes, est.domain.size)
+    assert est.quantiles(counts, targets, seeds).tolist() == [
+        est.quantile(values, t, s) for t, s in zip(targets, seeds)
+    ]
+    empty = CodeCounts(np.empty(0, np.int64), np.empty(0, np.int64))
+    with pytest.raises(ReproducibilityError):
+        est.quantiles(empty, [0.5], _seeds(0, 1))
+    for other in (
+        ReproducibleQuantileEstimator(method="padding"),
+        ReproducibleQuantileEstimator(vote=3),
+    ):
+        with pytest.raises(ReproducibilityError):
+            other.quantiles(counts, targets, seeds)
 
 
 LABELS = st.text(min_size=0, max_size=6)
