@@ -4,10 +4,10 @@
 for nearly all of its time (hashlib over a column, numpy's gathers,
 compares and counts).  It has two sites: the instance fingerprint
 beside the alias-table build, and, through :func:`halves`, the upper
-half of a large draw block beside its lower half, where each half is
-settled (and, for a cold run's efficiency sample, looked up in the code
-memo and counted) on the thread that takes it.  A second core then does
-the side function's work while the caller does its own.
+half of a large draw block beside its lower half, both when the block's
+draws are settled to their aliases and when a cold run's efficiency
+sample is looked up in the code memo and counted.  A second core then
+does the side function's work while the caller does its own.
 
 The helper is a plain thread started and joined inside the call, so no
 thread outlives it, and there is never more than one helper: the slot

@@ -7,9 +7,8 @@ parallel numpy arrays (``indices``, ``profits``, ``weights``) — the
 representation the cold pipeline consumes end to end (mask, dedup,
 slice, encode) without materializing ``m`` :class:`Sample`/``Item``
 objects.  :class:`TableBlock` is the
-weighted sampler's block: it settles its draws and gathers its columns
-only when read, and counts its efficiency codes from the alias table's
-memo.
+weighted sampler's block: it gathers its columns only when read and
+counts its efficiency codes from the alias table's memo.
 
 :class:`Sample` (one draw as a value object) lives here too; the
 object-path APIs (``sample``, ``sample_many``) are now thin views over
@@ -18,7 +17,6 @@ blocks, so there is a single source of truth for what a draw reveals.
 
 from __future__ import annotations
 
-import threading
 from typing import Iterator
 
 import numpy as np
@@ -80,7 +78,7 @@ class SampleBlock:
         block can be shared between pipeline phases safely.
     """
 
-    __slots__ = ("_indices", "_profits", "_weights")
+    __slots__ = ("indices", "_profits", "_weights")
 
     def __init__(self, indices, profits, weights) -> None:
         idx = np.ascontiguousarray(indices, dtype=np.int64)
@@ -93,16 +91,11 @@ class SampleBlock:
             )
         for arr in (idx, p, w):
             arr.setflags(write=False)
-        self._indices = idx
+        self.indices = idx
         self._profits = p
         self._weights = w
 
     # ------------------------------------------------------------------
-    @property
-    def indices(self) -> np.ndarray:
-        """Per-draw item indices (read-only)."""
-        return self._indices
-
     @property
     def profits(self) -> np.ndarray:
         """Per-draw profits (read-only)."""
@@ -123,7 +116,7 @@ class SampleBlock:
         return count_codes(codes, domain.size)
 
     def __len__(self) -> int:
-        return int(self._indices.size)
+        return int(self.indices.size)
 
     # ------------------------------------------------------------------
     # Object-path compatibility views (lazy: nothing is materialized
@@ -155,75 +148,36 @@ class SampleBlock:
 class TableBlock(SampleBlock):
     """Draws from an alias table over an explicit instance.
 
-    The block is built from both RNG streams of its draws, already
-    drawn (:meth:`~repro.access.weighted_sampler.AliasTable.draw_streams`),
-    and settles them (each draw whose coin rejects it moves to its
-    alias) on first read, once: reading ``indices``, ``profits`` or
-    ``weights`` settles the block's two halves beside each other, as
-    :meth:`~repro.access.weighted_sampler.AliasTable.draw_many` does.
-    A lock makes the settle happen once however many threads read a
-    fresh block; each later read sees the settled rows.
-
     ``profits``/``weights`` are gathered from the instance columns on
     first access.  :meth:`small_code_counts` reads the table's
     :class:`~repro.access.codes.CodeMemo` instead (from the table's
-    second run on): on a fresh block each half is settled, looked up in
-    the memo and counted on the thread that settled it, so a run that
-    only needs the counts never gathers the float columns nor keeps a
-    per-draw code array.  Both faces agree: the memo and
-    :meth:`SampleBlock.small_code_counts` encode through one function,
-    :func:`~repro.access.codes.encode_small`.
+    second run on): each half of a large block is looked up in the memo
+    and counted beside the other, so a run that only needs the counts
+    never gathers the float columns nor keeps a per-draw code array.
+    Both faces agree: the memo and :meth:`SampleBlock.small_code_counts`
+    encode through one function, :func:`~repro.access.codes.encode_small`.
     """
 
-    __slots__ = ("_coin", "_lock", "_columns", "_table")
+    __slots__ = ("_columns", "_table")
 
     def __init__(
-        self,
-        indices: np.ndarray,
-        coin: np.ndarray,
-        profits: np.ndarray,
-        weights: np.ndarray,
-        table,
+        self, indices, profits: np.ndarray, weights: np.ndarray, table
     ) -> None:
-        if indices.ndim != 1 or coin.shape != indices.shape:
-            raise OracleError(
-                f"TableBlock streams must be 1-D of equal length, got "
-                f"indices{indices.shape}, coin{coin.shape}"
-            )
-        self._indices = indices
-        self._coin = coin
-        self._lock = threading.Lock()
+        idx = np.ascontiguousarray(indices, dtype=np.int64)
+        if idx.ndim != 1:
+            raise OracleError(f"TableBlock indices must be 1-D, got shape {idx.shape}")
+        idx.setflags(write=False)
+        self.indices = idx
         self._profits = None
         self._weights = None
         self._columns = (profits, weights)
         self._table = table
-
-    def _settle(self, then=None) -> list:
-        """Settle the block unless it is settled, and run ``then(rows)``
-        (if given) over each half of the settled rows, on the thread that
-        settled that half; the results, one per part."""
-        idx = self._indices
-        with self._lock:
-            if self._coin is not None:
-                out = self._table.settle(idx, self._coin, then)
-                idx.setflags(write=False)
-                self._coin = None
-                return out
-        if then is None:
-            return []
-        return halves(lambda lo, hi: then(idx[lo:hi]), idx.size)
 
     @staticmethod
     def _gather(column: np.ndarray, rows: np.ndarray) -> np.ndarray:
         out = column[rows]
         out.setflags(write=False)
         return out
-
-    @property
-    def indices(self) -> np.ndarray:
-        if self._coin is not None:
-            self._settle()
-        return self._indices
 
     @property
     def profits(self) -> np.ndarray:
@@ -241,16 +195,17 @@ class TableBlock(SampleBlock):
         memo = self._table.code_memo(*self._columns, eps_sq, domain)
         if memo is None:
             return super().small_code_counts(eps_sq, domain)
-        size = domain.size
+        idx, size = self.indices, domain.size
         if size > DENSE_MAX_POINTS:
-            codes = memo.codes[self.indices]
+            codes = memo.codes[idx]
             todo = np.flatnonzero(codes == UNENCODED)
             if todo.size:
-                codes[todo] = memo.fill(self.indices[todo])
+                codes[todo] = memo.fill(idx[todo])
             return count_codes(codes[codes >= 0], size)
 
-        def count(rows: np.ndarray):
+        def count(lo: int, hi: int):
             # Shifted by 2, LARGE and UNENCODED land in bins 0 and 1.
+            rows = idx[lo:hi]
             codes = memo.codes[rows]
             hist = np.bincount(np.add(codes, 2, dtype=np.intp), minlength=size + 2)
             if hist[1] == 0:
@@ -259,7 +214,7 @@ class TableBlock(SampleBlock):
                 return hist, rows
             return hist, rows[np.flatnonzero(codes == UNENCODED)]
 
-        parts = self._settle(count)
+        parts = halves(count, idx.size)
         hist = sum(part_hist for part_hist, _ in parts)
         for _, todo in parts:
             if todo is not None:

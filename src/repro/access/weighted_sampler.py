@@ -289,45 +289,27 @@ class AliasTable:
     def draw_many(self, m: int, rng: np.random.Generator) -> np.ndarray:
         """Vectorized batch of ``m`` draws: draw ``k`` is ``idx[k]`` when
         ``coin[k] < prob[idx[k]]``, else ``alias[idx[k]]``, with all of
-        ``idx`` drawn before all of ``coin`` (:meth:`draw_streams`), then
-        settled in place (:meth:`settle`)."""
-        idx, coin = self.draw_streams(m, rng)
-        self.settle(idx, coin)
-        return idx
+        ``idx`` drawn before all of ``coin``.
 
-    def draw_streams(
-        self, m: int, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Both RNG streams of ``m`` draws, ``(idx, coin)``: all of the
-        ``integers``, then all of the ``random``.  Nothing is settled."""
-        return rng.integers(self._n, size=m), rng.random(m)
+        The draws that move to their alias are selected by position, not
+        by a boolean mask: the mask is mixed (a third of ``planted_lsg``'s
+        draws move), and numpy gathers and scatters through a mixed mask
+        several times slower than through its position list.  The moves
+        are written into the fresh ``idx`` array, never into a column.
 
-    def settle(self, idx: np.ndarray, coin: np.ndarray, then=None) -> list:
-        """Move, in place, each row of ``idx`` whose ``coin`` rejects it to
-        its alias, and return ``then(rows)`` of each settled part (its
-        ``None`` without ``then``).
-
-        The rows that move are selected by position, not by a boolean
-        mask: the mask is mixed (a third of ``planted_lsg``'s draws move),
-        and numpy gathers and scatters through a mixed mask several times
-        slower than through its position list.  The moves are written
-        into ``idx``, never into a column.
-
-        From :data:`~repro.access.beside.SPLIT_MIN_ROWS` rows on, the
-        upper half of the rows is settled beside the lower half
-        (:func:`~repro.access.beside.halves`), and ``then`` runs on the
-        thread that settled its half.  Every way is bit-identical: the
-        RNG is not touched, each row's outcome depends only on its own
-        ``idx`` and ``coin`` and the read-only columns, and the two
-        halves write disjoint rows of ``idx``.
+        Both streams are drawn on the caller.  From
+        :data:`~repro.access.beside.SPLIT_MIN_ROWS` rows on, the upper
+        half of the rows is then settled beside the lower half
+        (:func:`~repro.access.beside.halves`).  Every way is
+        bit-identical: the RNG is touched only before the settle, each
+        row's outcome depends only on its own ``idx`` and ``coin`` and the
+        read-only columns, and the two halves write disjoint rows of
+        ``idx``.
         """
-
-        def part(lo: int, hi: int):
-            rows = idx[lo:hi]
-            self._settle(rows, coin[lo:hi])
-            return None if then is None else then(rows)
-
-        return halves(part, idx.size)
+        idx = rng.integers(self._n, size=m)
+        coin = rng.random(m)
+        halves(lambda lo, hi: self._settle(idx[lo:hi], coin[lo:hi]), m)
+        return idx
 
     def _settle(self, idx: np.ndarray, coin: np.ndarray) -> None:
         """Move, in place, the rows of ``idx`` whose coin rejects them."""
@@ -405,18 +387,16 @@ class WeightedSampler:
 
         One vectorized draw, one accounting call: the block bills exactly
         ``m`` draws (the IKY12 per-draw currency) but materializes zero
-        per-draw Python objects.  Both RNG streams are drawn here, on the
-        caller, in :meth:`AliasTable.draw_many`'s order; the block settles
-        them and gathers its profit and weight columns on first read,
-        and counts its efficiency codes from this table's
-        :meth:`AliasTable.code_memo`.
+        per-draw Python objects.  Its profit and weight columns are
+        gathered on first access, and its efficiency codes are counted
+        from this table's :meth:`AliasTable.code_memo`.
         """
         if m < 0:
             raise OracleError("sample count must be >= 0")
         self._charge_block(m)
-        idx, coin = self._table.draw_streams(m, rng)
+        indices = self._table.draw_many(m, rng)
         return TableBlock(
-            idx, coin, self._instance.profits, self._instance.weights, self._table
+            indices, self._instance.profits, self._instance.weights, self._table
         )
 
     def sample_many(self, m: int, rng: np.random.Generator) -> list[Sample]:

@@ -218,6 +218,14 @@ def rquantile_descent_batch(
     numpy.ndarray
         int64 array of surviving-interval left edges, one per target.
     """
+    seeds = list(seeds)
+    targets = [float(p) for p in targets]
+    if len(seeds) != len(targets):
+        raise ReproducibilityError(
+            f"got {len(seeds)} seeds for {len(targets)} targets"
+        )
+    if not targets:
+        return np.empty(0, dtype=np.int64)
     xs = np.asarray(samples)
     if xs.dtype.kind != "i":
         xs = xs.astype(np.int64)

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.access import beside
+from repro.access import blocks as block_module
 from repro.access.blocks import SampleBlock, TableBlock
 from repro.access.codes import (
     LARGE,
@@ -338,22 +339,32 @@ def planted():
     return generate("planted_lsg", 20_000, seed=0)
 
 
+def recording_halves(monkeypatch):
+    """Patch the blocks' :func:`~repro.access.beside.halves` so each part
+    it runs records its thread; the list of thread ids."""
+    ran_on = []
+    split = block_module.halves
+
+    def recording(part, rows):
+        def on_thread(lo, hi):
+            ran_on.append(threading.get_ident())
+            return part(lo, hi)
+
+        return split(on_thread, rows)
+
+    monkeypatch.setattr(block_module, "halves", recording)
+    return ran_on
+
+
 @pytest.mark.parametrize("m", [SPLIT - 1, SPLIT, 3 * SPLIT + 1])
 def test_counts_are_identical_split_and_inline(planted, monkeypatch, m):
     """Around the split threshold (and at an odd size past it), a block
     counted in two halves on two threads, and one counted with the helper
     slot held (inline on the caller), both equal ``np.bincount`` of the
-    codes computed from the columns, settle the draws ``draw_many``
-    settles, and leave the generator in the same state.  The memo starts
-    part filled, so each half also finds rows to encode."""
-    settled_on = []
-    settle = AliasTable._settle
-
-    def recording(self, idx, coin):
-        settled_on.append(threading.get_ident())
-        settle(self, idx, coin)
-
-    monkeypatch.setattr(AliasTable, "_settle", recording)
+    codes computed from the columns, hold the draws ``draw_many`` draws,
+    and leave the generator in the same state.  The memo starts part
+    filled, so each half also finds rows to encode."""
+    counted_on = recording_halves(monkeypatch)
     seed = 7000 + m
     ref_rng = np.random.default_rng(seed)
     ref = AliasTable(planted.profits).draw_many(m, ref_rng)
@@ -363,13 +374,13 @@ def test_counts_are_identical_split_and_inline(planted, monkeypatch, m):
         memo_of(table, planted).fill(np.arange(0, planted.n, 3))
         rng = np.random.default_rng(seed)
         block = WeightedSampler(planted, table=table).sample_block(m, rng)
-        settled_on.clear()
+        counted_on.clear()
         if held:
             with beside._SLOT:
                 counts = block.small_code_counts(EPS_SQ, DOMAIN)
         else:
             counts = block.small_code_counts(EPS_SQ, DOMAIN)
-        threads = set(settled_on)
+        threads = set(counted_on)
         assert block.indices.tobytes() == ref.tobytes()
         assert histogram(counts) == column_histogram(planted, ref)
         seen.append((threads, rng.random()))
@@ -379,18 +390,10 @@ def test_counts_are_identical_split_and_inline(planted, monkeypatch, m):
     assert free_next == held_next == ref_rng.random()
 
 
-def test_a_fresh_block_read_from_two_threads_settles_once(planted, monkeypatch):
-    """``indices`` on one thread and ``small_code_counts`` on another, both
-    on a fresh block: the draws are settled once, and both readers get
-    what a serial read gives."""
-    settles = []
-    settle = AliasTable.settle
-
-    def counting(self, idx, coin, then=None):
-        settles.append(idx.size)
-        return settle(self, idx, coin, then)
-
-    monkeypatch.setattr(AliasTable, "settle", counting)
+def test_a_block_read_from_two_threads_gives_the_serial_result(planted):
+    """``indices`` on one thread and ``small_code_counts`` on another, at
+    once, on a block that splits: both readers get what a serial read
+    gives, whichever thread holds the helper slot."""
     m = 2 * SPLIT + 3
     table = AliasTable(planted.profits)
     memo_of(table, planted)
@@ -403,7 +406,6 @@ def test_a_fresh_block_read_from_two_threads_settles_once(planted, monkeypatch):
             block = WeightedSampler(planted, table=table).sample_block(
                 m, np.random.default_rng(5)
             )
-            settles.clear()
             start = threading.Barrier(2)
             got = {}
 
@@ -423,7 +425,6 @@ def test_a_fresh_block_read_from_two_threads_settles_once(planted, monkeypatch):
             for t in readers:
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in readers)
-            assert settles == [m]
             assert got == {"indices": ref.tobytes(), "counts": want}
     finally:
         sys.setswitchinterval(interval)

@@ -130,6 +130,17 @@ def test_batch_descent_validates_inputs():
         rquantile_descent_batch(np.empty(0, dtype=np.int64), 16, _seeds(0, 1), [0.5])
 
 
+def test_batch_descent_checks_targets_before_samples():
+    """No targets means no descent: the samples are not looked at.  A
+    seeds/targets length mismatch is reported before a sample range
+    error."""
+    out_of_range = np.array([-3, 99])
+    got = rquantile_descent_batch(out_of_range, 16, [], [])
+    assert got.dtype == np.int64 and got.size == 0
+    with pytest.raises(ReproducibilityError, match="seeds for"):
+        rquantile_descent_batch(out_of_range, 16, _seeds(0, 2), [0.5])
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=1500),
